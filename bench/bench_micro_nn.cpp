@@ -1,4 +1,4 @@
-// Microbenchmarks for the arena-allocated compute plane: blocked matmul
+// Microbenchmarks for the arena-allocated compute plane: tiled matmul
 // kernels (vectorized vs scalar dispatch) and whole train-step throughput
 // for every model family, with the steady-state heap-allocation count
 // measured directly (this binary replaces global operator new/delete with
@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -179,40 +180,58 @@ BENCHMARK(BM_BlockedMatMul)
 
 // ---------------------------------------------------------- json-out mode
 
-/// FLOP/s of one matmul variant at m=k=n=`n` under the given dispatch.
+struct MatShape {
+  std::size_t m, k, n;
+};
+
+/// FLOP/s of one matmul variant at `shape` under the given dispatch. Small
+/// shapes repeat until they have done the work of 20 calls at 128³.
 template <typename Kernel>
-double MeasureMatMulFlops(common::simd::Dispatch dispatch, std::size_t n,
+double MeasureMatMulFlops(common::simd::Dispatch dispatch, MatShape shape,
                           Kernel&& kernel) {
   constexpr int kWarmup = 3;
-  constexpr int kIters = 20;
+  constexpr double kMinFlops = 20.0 * 2 * 128 * 128 * 128;
+  const auto [m, k, n] = shape;
+  const double flops = 2.0 * static_cast<double>(m) * k * n;
+  const auto iters = static_cast<int>(std::ceil(kMinFlops / flops));
   common::simd::SetDispatch(dispatch);
   common::Rng rng(1);
-  std::vector<float> a(n * n), b(n * n), c(n * n);
+  std::vector<float> a(m * k), b(k * n), c(m * n);
   for (auto& x : a) x = static_cast<float>(rng.Normal(0, 1));
   for (auto& x : b) x = static_cast<float>(rng.Normal(0, 1));
-  for (int i = 0; i < kWarmup; ++i) kernel(a.data(), b.data(), c.data(), n);
+  for (int i = 0; i < kWarmup; ++i) kernel(a.data(), b.data(), c.data(), shape);
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) kernel(a.data(), b.data(), c.data(), n);
+  for (int i = 0; i < iters; ++i) kernel(a.data(), b.data(), c.data(), shape);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   common::simd::SetDispatch(common::simd::Dispatch::kAuto);
-  return 2.0 * static_cast<double>(n) * n * n * kIters / secs;
+  return flops * iters / secs;
 }
 
 template <typename Kernel>
-benchutil::BenchRow MatMulRow(const std::string& label, std::size_t n,
+benchutil::BenchRow MatMulRow(const std::string& label, MatShape shape,
                               Kernel&& kernel) {
   benchutil::BenchRow row;
   row.label = label;
   const double wide =
-      MeasureMatMulFlops(common::simd::Dispatch::kAuto, n, kernel);
+      MeasureMatMulFlops(common::simd::Dispatch::kAuto, shape, kernel);
   const double narrow =
-      MeasureMatMulFlops(common::simd::Dispatch::kScalar, n, kernel);
+      MeasureMatMulFlops(common::simd::Dispatch::kScalar, shape, kernel);
   row.values["flops_auto_per_s"] = wide;
   row.values["flops_scalar_per_s"] = narrow;
   row.values["speedup"] = wide / narrow;
   return row;
+}
+
+void MatMulNNKernel(const float* a, const float* b, float* c, MatShape s) {
+  common::simd::MatMulNN(a, b, c, s.m, s.k, s.n, 1.0f, 0.0f);
+}
+void MatMulNTKernel(const float* a, const float* b, float* c, MatShape s) {
+  common::simd::MatMulNT(a, b, c, s.m, s.k, s.n, 1.0f, 0.0f);
+}
+void MatMulTNKernel(const float* a, const float* b, float* c, MatShape s) {
+  common::simd::MatMulTN(a, b, c, s.m, s.k, s.n, 1.0f, 0.0f);
 }
 
 benchutil::BenchRow TrainStepRow(const std::string& kind) {
@@ -245,25 +264,25 @@ benchutil::BenchRow TrainStepRow(const std::string& kind) {
 
 int JsonMain(const std::string& path) {
   std::vector<benchutil::BenchRow> rows;
-  const std::size_t n = 128;
-  rows.push_back(MatMulRow("matmul_nn_128", n,
-                           [](const float* a, const float* b, float* c,
-                              std::size_t d) {
-                             common::simd::MatMulNN(a, b, c, d, d, d, 1.0f,
-                                                    0.0f);
-                           }));
-  rows.push_back(MatMulRow("matmul_nt_128", n,
-                           [](const float* a, const float* b, float* c,
-                              std::size_t d) {
-                             common::simd::MatMulNT(a, b, c, d, d, d, 1.0f,
-                                                    0.0f);
-                           }));
-  rows.push_back(MatMulRow("matmul_tn_128", n,
-                           [](const float* a, const float* b, float* c,
-                              std::size_t d) {
-                             common::simd::MatMulTN(a, b, c, d, d, d, 1.0f,
-                                                    0.0f);
-                           }));
+  const MatShape cube{128, 128, 128};
+  rows.push_back(MatMulRow("matmul_nn_128", cube, MatMulNNKernel));
+  rows.push_back(MatMulRow("matmul_nt_128", cube, MatMulNTKernel));
+  rows.push_back(MatMulRow("matmul_tn_128", cube, MatMulTNKernel));
+  // The benchmark transformer's attention shapes (head width 16, sequences
+  // of 24 and 120 steps), where the 16-column tile and the NT dot-product
+  // tile run at their real widths.
+  rows.push_back(
+      MatMulRow("matmul_nn_24x32x16", {24, 32, 16}, MatMulNNKernel));
+  rows.push_back(
+      MatMulRow("matmul_nn_120x120x16", {120, 120, 16}, MatMulNNKernel));
+  rows.push_back(
+      MatMulRow("matmul_tn_120x120x16", {120, 120, 16}, MatMulTNKernel));
+  rows.push_back(
+      MatMulRow("matmul_tn_32x120x16", {32, 120, 16}, MatMulTNKernel));
+  rows.push_back(
+      MatMulRow("matmul_nt_24x16x24", {24, 16, 24}, MatMulNTKernel));
+  rows.push_back(
+      MatMulRow("matmul_nt_120x16x120", {120, 16, 120}, MatMulNTKernel));
   for (const char* kind : kModelKinds) {
     rows.push_back(TrainStepRow(kind));
   }

@@ -17,140 +17,154 @@ inline void ApplyBeta(float* c, std::size_t elems, float beta) {
   }
 }
 
-// Fixed pairwise reduction of the NT kernel's 8 partial sums. Both the
-// scalar reference and the wide path reduce through this exact tree.
+// Fixed pairwise reduction of the NT kernel's 8 partial sums. The scalar
+// reference calls it; the tiled kernel computes the same tree in vectors.
 inline float ReduceLanes(const float* lanes) {
   return ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5])) +
          ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
 }
-
-// Cache-blocking tile sizes for the wide kernels: a kBlockK × kBlockN tile
-// of B (32 KiB) stays L1-resident while it is streamed against rows of A.
-constexpr std::size_t kBlockK = 64;
-constexpr std::size_t kBlockN = 128;
 
 #if RNA_SIMD_VECTOR_EXT
 
 using detail::kLanes;
 using detail::Load;
 using detail::Store;
-using detail::V8f;
+using detail::V4f;
 
-// C += av · brow over [0, n) — the j-inner body of the NN/TN kernels.
-inline void AccumulateRow(float* crow, const float* brow, float av,
-                          std::size_t n) {
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    Store(crow + j, Load(crow + j) + Load(brow + j) * av);
+// Columns per register tile: 4 vectors, so a 2-row tile holds 8
+// accumulators, 4 B vectors and 2 broadcasts — 14 of SSE2's 16 registers.
+constexpr std::size_t kTileVectors = 4;
+constexpr std::size_t kTileCols = kTileVectors * kLanes;
+
+// C(R × 16) += alpha · A(R × k) · B(k × 16), where A(r, kk) is
+// a[r*si + kk*sk] (NN: si = k, sk = 1; TN: si = 1, sk = m). The C tile stays
+// in registers for the whole k loop; each C element still receives one
+// `+= av * b` per k in ascending order, and a row whose av is zero skips
+// that k while the other row of the tile adds — the scalar reference's
+// exact operation sequence.
+template <std::size_t R>
+inline void StridedTile(const float* a, std::size_t si, std::size_t sk,
+                        const float* b, float* c, std::size_t k,
+                        std::size_t n, float alpha) {
+  V4f acc[R][kTileVectors];
+#pragma GCC unroll 2
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kTileVectors; ++v) {
+      acc[r][v] = Load(c + r * n + v * kLanes);
+    }
   }
-  for (; j < n; ++j) crow[j] += av * brow[j];
-}
-
-void WideMatMulNN(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, float alpha, float beta) {
-  ApplyBeta(c, m * n, beta);
-  // Per C element the k loop still runs 0..k ascending (jb tiles are
-  // disjoint columns, kb tiles are visited in order), matching the scalar
-  // reference exactly.
-  for (std::size_t jb = 0; jb < n; jb += kBlockN) {
-    const std::size_t jn = std::min(kBlockN, n - jb);
-    for (std::size_t kb = 0; kb < k; kb += kBlockK) {
-      const std::size_t kn = std::min(kBlockK, k - kb);
-      for (std::size_t i = 0; i < m; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n + jb;
-        for (std::size_t kk = kb; kk < kb + kn; ++kk) {
-          const float av = alpha * arow[kk];
-          if (av == 0.0f) continue;
-          AccumulateRow(crow, b + kk * n + jb, av, jn);
-        }
-      }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* brow = b + kk * n;
+    V4f bv[kTileVectors];
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kTileVectors; ++v) {
+      bv[v] = Load(brow + v * kLanes);
+    }
+#pragma GCC unroll 2
+    for (std::size_t r = 0; r < R; ++r) {
+      const float av = alpha * a[r * si + kk * sk];
+      if (av == 0.0f) continue;
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < kTileVectors; ++v) acc[r][v] += bv[v] * av;
+    }
+  }
+#pragma GCC unroll 2
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kTileVectors; ++v) {
+      Store(c + r * n + v * kLanes, acc[r][v]);
     }
   }
 }
 
-void WideMatMulNT(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, float alpha, float beta) {
+// The NN and TN kernel: 16-column strips of 2-row tiles (plus a 1-row tile
+// for odd m), then the last n % 16 columns row by row, 4 wide and then one
+// at a time. The remainder makes one skip decision per (i, kk) for all its
+// columns, as the reference does: with ReLU-sparse A that branch is
+// unpredictable, and taking it once per column group made n = 6 layers
+// 2.7× slower.
+void TiledMatMul(const float* a, std::size_t si, std::size_t sk,
+                 const float* b, float* c, std::size_t m, std::size_t k,
+                 std::size_t n, float alpha, float beta) {
   ApplyBeta(c, m * n, beta);
-  // Four output columns per pass: the A row is loaded once and streamed
-  // against four B rows (4× fewer loads, four independent dependency
-  // chains). Each column keeps its own accumulator/lanes/tail, so the FP
-  // operation sequence per C element is identical to the one-column form
-  // the scalar reference simulates — the unroll is invisible bitwise.
+  const std::size_t tiled = n - n % kTileCols;
+  for (std::size_t j = 0; j < tiled; j += kTileCols) {
+    std::size_t i = 0;
+    for (; i + 2 <= m; i += 2) {
+      StridedTile<2>(a + i * si, si, sk, b + j, c + i * n + j, k, n, alpha);
+    }
+    if (i < m) {
+      StridedTile<1>(a + i * si, si, sk, b + j, c + i * n + j, k, n, alpha);
+    }
+  }
+  if (tiled == n) return;
+  for (std::size_t i = 0; i < m; ++i) {
+    float* crow = c + i * n;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float av = alpha * a[i * si + kk * sk];
+      if (av == 0.0f) continue;
+      const float* brow = b + kk * n;
+      std::size_t j = tiled;
+      for (; j + kLanes <= n; j += kLanes) {
+        Store(crow + j, Load(crow + j) + Load(brow + j) * av);
+      }
+      for (; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// C(i, j..j+J) += alpha · ⟨A row i, B row j+jj⟩ for J ∈ {1, 4} consecutive
+// B rows, so one A vector load serves J dot products. Each dot product keeps
+// the 8-lane contract: lanes 0-3 accumulate in lo, lanes 4-7 in hi, so
+// s = lo + hi holds ReduceLanes' inner pairs and (s0 + s1) + (s2 + s3)
+// finishes its tree. For J = 4 that finish runs on the transposed sums,
+// four columns per vector add.
+template <std::size_t J>
+inline void DotTile(const float* arow, const float* b, float* crow,
+                    std::size_t k, float alpha) {
+  V4f lo[J], hi[J];
+#pragma GCC unroll 4
+  for (std::size_t jj = 0; jj < J; ++jj) lo[jj] = hi[jj] = V4f{};
+  std::size_t kk = 0;
+  for (; kk + 2 * kLanes <= k; kk += 2 * kLanes) {
+    const V4f a0 = Load(arow + kk);
+    const V4f a1 = Load(arow + kk + kLanes);
+#pragma GCC unroll 4
+    for (std::size_t jj = 0; jj < J; ++jj) {
+      const float* brow = b + jj * k + kk;
+      lo[jj] += a0 * Load(brow);
+      hi[jj] += a1 * Load(brow + kLanes);
+    }
+  }
+  if constexpr (J == 4) {
+    const V4f s0 = lo[0] + hi[0], s1 = lo[1] + hi[1], s2 = lo[2] + hi[2],
+              s3 = lo[3] + hi[3];
+    V4f sum = (V4f{s0[0], s1[0], s2[0], s3[0]} +
+               V4f{s0[1], s1[1], s2[1], s3[1]}) +
+              (V4f{s0[2], s1[2], s2[2], s3[2]} +
+               V4f{s0[3], s1[3], s2[3], s3[3]});
+    for (std::size_t t = kk; t < k; ++t) {
+      sum += V4f{b[t], b[k + t], b[2 * k + t], b[3 * k + t]} * arow[t];
+    }
+    Store(crow, Load(crow) + sum * alpha);
+  } else {
+    const V4f s = lo[0] + hi[0];
+    float sum = (s[0] + s[1]) + (s[2] + s[3]);
+    for (std::size_t t = kk; t < k; ++t) sum += arow[t] * b[t];
+    crow[0] += alpha * sum;
+  }
+}
+
+void TiledMatMulNT(const float* a, const float* b, float* c, std::size_t m,
+                   std::size_t k, std::size_t n, float alpha, float beta) {
+  ApplyBeta(c, m * n, beta);
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      V8f acc0 = {0, 0, 0, 0, 0, 0, 0, 0};
-      V8f acc1 = {0, 0, 0, 0, 0, 0, 0, 0};
-      V8f acc2 = {0, 0, 0, 0, 0, 0, 0, 0};
-      V8f acc3 = {0, 0, 0, 0, 0, 0, 0, 0};
-      std::size_t kk = 0;
-      for (; kk + kLanes <= k; kk += kLanes) {
-        const V8f av = Load(arow + kk);
-        acc0 += av * Load(b0 + kk);
-        acc1 += av * Load(b1 + kk);
-        acc2 += av * Load(b2 + kk);
-        acc3 += av * Load(b3 + kk);
-      }
-      float lanes[kLanes];
-      Store(lanes, acc0);
-      float s0 = ReduceLanes(lanes);
-      Store(lanes, acc1);
-      float s1 = ReduceLanes(lanes);
-      Store(lanes, acc2);
-      float s2 = ReduceLanes(lanes);
-      Store(lanes, acc3);
-      float s3 = ReduceLanes(lanes);
-      for (; kk < k; ++kk) {
-        const float av = arow[kk];
-        s0 += av * b0[kk];
-        s1 += av * b1[kk];
-        s2 += av * b2[kk];
-        s3 += av * b3[kk];
-      }
-      crow[j] += alpha * s0;
-      crow[j + 1] += alpha * s1;
-      crow[j + 2] += alpha * s2;
-      crow[j + 3] += alpha * s3;
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      V8f acc = {0, 0, 0, 0, 0, 0, 0, 0};
-      std::size_t kk = 0;
-      for (; kk + kLanes <= k; kk += kLanes) {
-        acc += Load(arow + kk) * Load(brow + kk);
-      }
-      float lanes[kLanes];
-      Store(lanes, acc);
-      float s = ReduceLanes(lanes);
-      for (; kk < k; ++kk) s += arow[kk] * brow[kk];
-      crow[j] += alpha * s;
-    }
-  }
-}
-
-void WideMatMulTN(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, float alpha, float beta) {
-  ApplyBeta(c, m * n, beta);
-  // A is stored k×m, so the k loop is outermost; jb tiling keeps the C slab
-  // and the B row slice hot without touching the per-element k order.
-  for (std::size_t jb = 0; jb < n; jb += kBlockN) {
-    const std::size_t jn = std::min(kBlockN, n - jb);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* arow = a + kk * m;
-      const float* brow = b + kk * n + jb;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float av = alpha * arow[i];
-        if (av == 0.0f) continue;
-        AccumulateRow(c + i * n + jb, brow, av, jn);
-      }
-    }
+    for (; j + 4 <= n; j += 4) DotTile<4>(arow, b + j * k, crow + j, k, alpha);
+    for (; j < n; ++j) DotTile<1>(arow, b + j * k, crow + j, k, alpha);
   }
 }
 
@@ -172,7 +186,7 @@ void MatMulNN(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, float alpha, float beta) {
   ApplyBeta(c, m * n, beta);
   // i-k-j with an ascending k accumulation per C element — the order the
-  // wide path reproduces.
+  // tiled kernel reproduces.
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
@@ -189,7 +203,7 @@ void MatMulNT(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, float alpha, float beta) {
   ApplyBeta(c, m * n, beta);
   // The dot product over k is split into 8 independent partial sums folded
-  // by a fixed pairwise tree — simulating the wide path's lanes so both
+  // by a fixed pairwise tree — simulating the tiled kernel's lanes so both
   // dispatches round identically.
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
@@ -231,7 +245,7 @@ void MatMulNN(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, float alpha, float beta) {
 #if RNA_SIMD_VECTOR_EXT
   if (ActiveDispatch() == Dispatch::kAuto) {
-    WideMatMulNN(a, b, c, m, k, n, alpha, beta);
+    TiledMatMul(a, k, 1, b, c, m, k, n, alpha, beta);
     return;
   }
 #endif
@@ -242,7 +256,7 @@ void MatMulNT(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, float alpha, float beta) {
 #if RNA_SIMD_VECTOR_EXT
   if (ActiveDispatch() == Dispatch::kAuto) {
-    WideMatMulNT(a, b, c, m, k, n, alpha, beta);
+    TiledMatMulNT(a, b, c, m, k, n, alpha, beta);
     return;
   }
 #endif
@@ -253,7 +267,7 @@ void MatMulTN(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, float alpha, float beta) {
 #if RNA_SIMD_VECTOR_EXT
   if (ActiveDispatch() == Dispatch::kAuto) {
-    WideMatMulTN(a, b, c, m, k, n, alpha, beta);
+    TiledMatMul(a, 1, m, b, c, m, k, n, alpha, beta);
     return;
   }
 #endif

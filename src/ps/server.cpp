@@ -1,6 +1,7 @@
 #include "rna/ps/server.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "rna/common/check.hpp"
 #include "rna/common/simd.hpp"
@@ -53,7 +54,11 @@ std::vector<float> ParameterServer::Snapshot() const {
 }
 
 void ParameterServer::ServeLoop() {
-  const obs::TrackHandle track = obs::RegisterTrack("ps");
+  // One track per server: a track is a single-producer ring, and sharded
+  // and tree-structured PS banks run several servers at once. No "worker"
+  // prefix, which trace consumers read as a worker's timeline.
+  const obs::TrackHandle track =
+      obs::RegisterTrack("ps" + std::to_string(rank_));
   for (;;) {
     // Bounded waits only (the chaos lint gate bans untimed receives in
     // src/ps): wake periodically to notice stop/shutdown even if the

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "rna/net/fabric.hpp"
+#include "rna/obs/session.hpp"
 #include "rna/ps/server.hpp"
 #include "rna/ps/sharded.hpp"
 
@@ -246,6 +249,30 @@ TEST(ShardedPs, ConcurrentStripedClientsAllServed) {
   ShardedPsClient reader(fabric, 0, kClients, kShards, kDim);
   EXPECT_EQ(reader.Pull(), std::vector<float>(kDim, 100.0f));
   for (auto& s : bank) s->Stop();
+}
+
+TEST(ShardedPs, EachShardTracesOnItsOwnTrack) {
+  // A trace track is a single-producer ring, so concurrently serving
+  // shards must each record on a track of their own.
+  constexpr std::size_t kShards = 2;
+  constexpr std::size_t kDim = 6;
+  obs::Session session;
+  net::Fabric fabric(1 + kShards);
+  auto bank =
+      StartShardBank(fabric, 1, std::vector<float>(kDim, 0.0f), kShards);
+  ShardedPsClient client(fabric, 0, 1, kShards, kDim);
+  for (int i = 0; i < 5; ++i) {
+    client.PushPull(std::vector<float>(kDim, 1.0f), ApplyMode::kAddDelta);
+  }
+  for (auto& s : bank) s->Stop();
+
+  std::vector<std::string> names;
+  for (const auto& track : session.Trace().Snapshot()) {
+    EXPECT_FALSE(track.spans.empty()) << track.name;
+    names.push_back(track.name);
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"ps1", "ps2"}));
 }
 
 // ---------------------------------------------------------- parent folds

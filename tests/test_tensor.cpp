@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "rna/common/rng.hpp"
 #include "rna/common/simd.hpp"
@@ -229,12 +230,12 @@ INSTANTIATE_TEST_SUITE_P(Grid, MatMulShapes,
                                             ::testing::Values(1, 4, 13)));
 
 // ---------------------------------------------------------------------------
-// Blocked/vectorized kernel contract: for every transpose variant, dispatch
-// kAuto must be BITWISE identical to the scalar reference — not merely close.
-// The sweep leans on awkward shapes: 1×1, primes (never a multiple of the
-// vector width or block size), k=0 (empty reduction), tall/skinny and
-// short/fat extremes, and dims straddling the kBlockK=64 / kBlockN=128
-// blocking boundaries.
+// Tiled kernel contract: for every transpose variant, dispatch kAuto must be
+// BITWISE identical to the scalar reference — not merely close. The sweep
+// leans on awkward shapes: 1×1, primes (never a multiple of the vector
+// width), k=0 (empty reduction), tall/skinny and short/fat extremes, odd m
+// (a lone row after the 2-row tiles), n around the 16-column tile edge and
+// the 4-wide remainder, and the benchmark transformer's attention shapes.
 
 class ScopedScalarDispatch {
  public:
@@ -267,16 +268,12 @@ struct MatMulCase {
 
 class MatMulBitwise : public ::testing::TestWithParam<MatMulCase> {};
 
-TEST_P(MatMulBitwise, VectorizedMatchesScalarBitwise) {
-  const auto [m, k, n, alpha, beta] = GetParam();
-  common::Rng rng(7 + m * 131 + k * 17 + n * 3);
-  Tensor a = RandomTensor(m, k, rng);
-  Tensor b = RandomTensor(k, n, rng);
+// Runs NN, NT and TN on the operands of C(m×n) = A(m×k)·B(k×n) under both
+// dispatches and requires bitwise-equal results.
+void ExpectVariantsBitwise(const Tensor& a, const Tensor& b,
+                           const Tensor& c_init, float alpha, float beta) {
   Tensor at = Transpose(a);  // k×m operand for the TN variant
   Tensor bt = Transpose(b);  // n×k operand for the NT variant
-  // Non-trivial beta needs non-trivial initial C, shared by both paths.
-  Tensor c_init = RandomTensor(m, n, rng);
-
   struct Variant {
     const char* name;
     void (*run)(const Tensor&, const Tensor&, Tensor&, float, float);
@@ -307,6 +304,16 @@ TEST_P(MatMulBitwise, VectorizedMatchesScalarBitwise) {
   }
 }
 
+TEST_P(MatMulBitwise, VectorizedMatchesScalarBitwise) {
+  const auto [m, k, n, alpha, beta] = GetParam();
+  common::Rng rng(7 + m * 131 + k * 17 + n * 3);
+  Tensor a = RandomTensor(m, k, rng);
+  Tensor b = RandomTensor(k, n, rng);
+  // Non-trivial beta needs non-trivial initial C, shared by both paths.
+  Tensor c_init = RandomTensor(m, n, rng);
+  ExpectVariantsBitwise(a, b, c_init, alpha, beta);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AwkwardShapes, MatMulBitwise,
     ::testing::Values(
@@ -323,9 +330,19 @@ INSTANTIATE_TEST_SUITE_P(
         MatMulCase{2, 3, 97, 1.0f, 0.0f},      // short and fat
         MatMulCase{5, 8, 8, 1.0f, -1.0f},      // vector-width aligned, β<0
         MatMulCase{16, 67, 31, 2.0f, 0.25f},   // k past one block, odd n
-        MatMulCase{1, 200, 1, 1.0f, 0.0f}));   // dot-product shaped
+        MatMulCase{1, 200, 1, 1.0f, 0.0f},     // dot-product shaped
+        MatMulCase{3, 9, 15, 1.0f, 0.0f},      // odd m, n around tile edges
+        MatMulCase{5, 16, 16, -1.5f, 1.0f},
+        MatMulCase{7, 17, 17, 1.0f, 0.5f},
+        MatMulCase{9, 8, 31, 0.5f, 0.0f},
+        MatMulCase{11, 33, 32, 1.0f, 1.0f},
+        MatMulCase{13, 5, 33, 2.0f, 0.5f},
+        MatMulCase{24, 32, 16, 1.0f, 0.0f},    // Q/K/V projection
+        MatMulCase{120, 120, 16, 1.0f, 0.0f},  // P·V, dV, dK at length 120
+        MatMulCase{32, 120, 16, 1.0f, 1.0f},   // projection-weight gradient
+        MatMulCase{120, 16, 120, 0.25f, 0.0f}));  // attention scores
 
-// Zeros must take the same skip path in both dispatches (the wide NN/TN
+// Zeros must take the same skip path in both dispatches (the tiled NN/TN
 // kernels skip av==0 rows; the scalar references must skip identically).
 TEST(MatMulBitwiseZeros, SparseInputsMatchBitwise) {
   common::Rng rng(99);
@@ -340,6 +357,26 @@ TEST(MatMulBitwiseZeros, SparseInputsMatchBitwise) {
     MatMul(a, b, c_scalar);
   }
   ExpectBitwise(c_auto, c_scalar);
+}
+
+// The skip is decided per row of a 2-row tile: a row whose alpha·a is ±0
+// skips that k while its neighbour adds. Skipping matters bitwise: 0·±Inf
+// is NaN, and -0.0 + 0·b is +0.0, so C starts at -0.0 and B holds ±Inf in
+// columns of a 16-wide tile, the 4-wide remainder and the scalar tail.
+TEST(MatMulBitwiseZeros, PerRowSkipInsideTile) {
+  common::Rng rng(5);
+  Tensor a({5, 3}, {0.0f, 0.0f, 0.0f,      // whole row skipped
+                    1.5f, -2.0f, 0.5f,     // its neighbour never skips
+                    -0.0f, 3.0f, 0.0f,     // skips k=0 and k=2
+                    2.0f, 0.0f, -1.0f,     // skips k=1
+                    0.0f, -0.0f, 0.0f});   // lone last row, all skipped
+  Tensor b = RandomTensor(3, 21, rng);
+  b.At(0, 5) = std::numeric_limits<float>::infinity();
+  b.At(1, 17) = -std::numeric_limits<float>::infinity();
+  b.At(2, 20) = std::numeric_limits<float>::infinity();
+  Tensor c_init({5, 21});
+  c_init.Fill(-0.0f);
+  ExpectVariantsBitwise(a, b, c_init, 1.0f, 1.0f);
 }
 
 }  // namespace
