@@ -73,6 +73,7 @@ std::unique_ptr<TriggerPolicy> MakeFullPolicy() {
   return std::make_unique<FullPolicy>();
 }
 
+
 TrainResult RunPartialCollective(const TrainerConfig& config,
                                  const ModelFactory& factory,
                                  const data::Dataset& train_data,
@@ -80,13 +81,58 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
                                  const TriggerPolicyFactory& policy_factory) {
   const std::size_t world = config.world;
   RNA_CHECK_MSG(world >= 1, "need at least one worker");
-  const net::Rank controller = world;  // endpoint layout: [workers..., ctrl]
-  net::Fabric fabric(world + 1);
-
-  FaultRuntime faults(config);
+  net::Fabric fabric(world + 1);  // endpoint layout: [workers..., ctrl]
   if (auto plan = BuildFaultPlan(config)) {
     fabric.InstallFaultPlan(std::move(plan));
   }
+  EngineGroup everyone;
+  everyone.members.resize(world);
+  std::iota(everyone.members.begin(), everyone.members.end(), net::Rank{0});
+  everyone.probe_seed = config.seed + 9001;
+  everyone.track = "controller";
+
+  EngineRun run;
+  run.workers = MakeWorkers(config, factory, train_data);
+  run.init = InitialParams(config, factory);
+  run.groups.push_back(std::move(everyone));
+  run.policy_factory = policy_factory;
+  return RunPartialCollectiveGroups(config, factory, train_data, val_data,
+                                    fabric, std::move(run));
+}
+
+TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
+                                       const ModelFactory& factory,
+                                       const data::Dataset& train_data,
+                                       const data::Dataset& val_data,
+                                       net::Fabric& fabric, EngineRun run) {
+  const std::size_t world = config.world;
+  const std::size_t num_groups = run.groups.size();
+  auto& workers = run.workers;
+  const std::vector<float>& init = run.init;
+  RNA_CHECK_MSG(world >= 1 && workers.size() == world,
+                "need one worker context per rank");
+  RNA_CHECK_MSG(num_groups >= 1, "need at least one group");
+
+  // Each rank's group and its position in the group's founding list, built
+  // once: every controller message resolves its sender in O(1), so a
+  // message costs the same at world=10 and world=1000.
+  std::vector<std::size_t> group_of(world, num_groups);
+  std::vector<std::size_t> slot_of(world, 0);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    const std::vector<net::Rank>& members = run.groups[g].members;
+    RNA_CHECK_MSG(!members.empty(), "empty engine group");
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      RNA_CHECK_MSG(members[i] < world && group_of[members[i]] == num_groups,
+                    "engine groups must partition the ranks");
+      group_of[members[i]] = g;
+      slot_of[members[i]] = i;
+    }
+  }
+  for (const std::size_t g : group_of) {
+    RNA_CHECK_MSG(g < num_groups, "engine groups must partition the ranks");
+  }
+
+  FaultRuntime faults(config);
   const bool faulty = config.fault.Enabled();
   const bool lockstep = config.lockstep;
   // A mid-ring crash shows up as a hop timeout; survivors abort the round
@@ -99,36 +145,44 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   const common::Seconds report_budget =
       config.fault.collective_timeout_s + config.fault.probe_timeout_s;
 
-  auto workers = MakeWorkers(config, factory, train_data);
   const std::size_t dim = workers[0]->Dim();
-  std::vector<float> init = InitialParams(config, factory);
-
   std::vector<std::unique_ptr<GradientStage>> stages;
   for (std::size_t w = 0; w < world; ++w) {
     stages.push_back(std::make_unique<GradientStage>(
         dim, config.staleness_bound, config.combine));
   }
-  ParamBoard board(init);  // lowest live rank's view, watched by monitor
+  // One board per group, published by the round's lowest-ranked member: a
+  // group's gradients are computed against its own model, never another
+  // group's, so under lockstep every group's compute inputs sit on its own
+  // deterministic round boundary. The monitor watches rank 0's group.
+  std::vector<std::unique_ptr<ParamBoard>> boards;
+  boards.reserve(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    boards.push_back(std::make_unique<ParamBoard>(init));
+  }
 
   std::atomic<bool> stop{false};          // raised by the monitor
-  std::atomic<bool> global_stop{false};   // raised by controller / comm exit
+  std::atomic<bool> global_stop{false};   // raised by a comm thread's exit
   std::atomic<std::size_t> rounds_done{0};
   std::atomic<std::size_t> batches_applied{0};
-  // Written by the controller thread only; the main thread reads it only
-  // after controller_thread.join(), which orders those accesses (verified
-  // under TSan by tests/test_race_stress.cpp).
+  // Written by rank 0's group controller only; the main thread reads it
+  // only after the controllers' join(), which orders those accesses
+  // (verified under TSan by tests/test_race_stress.cpp).
   std::vector<std::size_t> round_contributors;
-  // Same single-writer discipline: the controller owns the membership
-  // directory and its busy-time accumulator; the main thread reads both
+  // Same single-writer discipline: each controller owns its group's
+  // membership directory and busy-time slot; the main thread reads them
   // after join().
-  std::vector<net::Rank> all_ranks(world);
-  std::iota(all_ranks.begin(), all_ranks.end(), net::Rank{0});
-  MembershipDirectory directory(all_ranks, config.elastic);
-  common::Seconds ctrl_busy = 0.0;
-  std::size_t ctrl_msgs = 0;
+  std::vector<std::unique_ptr<MembershipDirectory>> directories;
+  directories.reserve(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    directories.push_back(std::make_unique<MembershipDirectory>(
+        run.groups[g].members, config.elastic));
+  }
+  std::vector<common::Seconds> ctrl_busy(num_groups, 0.0);
+  std::vector<std::size_t> ctrl_msgs(num_groups, 0);
 
   EvalMonitor monitor(config, factory, val_data);
-  monitor.Start(board, stop, rounds_done);
+  monitor.Start(*boards[group_of[0]], stop, rounds_done);
 
   std::vector<WorkerTimeBreakdown> comm_times(world);
   std::vector<std::vector<float>> final_params(world);
@@ -143,6 +197,10 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
     comm_threads.emplace_back([&, w] {
       const obs::TrackHandle track =
           obs::RegisterTrack(obs::WorkerTrack(w, "comm"));
+      const std::size_t g = group_of[w];
+      const net::Rank controller = world + g;
+      const auto founding_size =
+          static_cast<double>(run.groups[g].members.size());
       std::vector<float> params = init;
       nn::SgdMomentum& optimizer = workers[w]->Optimizer();
       std::vector<float> buffer(dim);
@@ -186,7 +244,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         }
         if (go->meta.empty() || go->meta[0] < 0) {
           // Session over — or, with meta[1]==2, a personal exit for this
-          // rank's scheduled elastic leave (the rest of the world keeps
+          // rank's scheduled elastic leave (the rest of the group keeps
           // training).
           left = go->meta.size() > 1 && go->meta[1] == 2;
           break;
@@ -213,23 +271,19 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         }
 
         // Round membership travels in the Go: [round, verdict, member
-        // count, members..., joiners...]; a legacy two-entry shape means
-        // everyone. A rank in the joiner tail is not yet a ring member —
-        // it receives the round leader's state transfer instead.
+        // count, members..., joiners...]. A rank in the joiner tail is not
+        // yet a ring member — it receives the round leader's state
+        // transfer instead.
         collectives::Group group;
         std::vector<net::Rank> joiners;
-        if (go->meta.size() > 2) {
-          const auto member_count = static_cast<std::size_t>(go->meta[2]);
-          for (std::size_t i = 3; i < go->meta.size(); ++i) {
-            const auto r = static_cast<net::Rank>(go->meta[i]);
-            if (i - 3 < member_count) {
-              group.members.push_back(r);
-            } else {
-              joiners.push_back(r);
-            }
+        const auto member_count = static_cast<std::size_t>(go->meta[2]);
+        for (std::size_t i = 3; i < go->meta.size(); ++i) {
+          const auto r = static_cast<net::Rank>(go->meta[i]);
+          if (i - 3 < member_count) {
+            group.members.push_back(r);
+          } else {
+            joiners.push_back(r);
           }
-        } else {
-          group = collectives::Group::Full(world);
         }
         if (std::find(joiners.begin(), joiners.end(), w) != joiners.end()) {
           // Joining rank: install the leader's replica (params ‖ velocity,
@@ -307,7 +361,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         opts.hop_timeout = ring_timeout;
         opts.feedback = &feedback;
         if (config.schedule == collectives::Schedule::kStragglar &&
-            go->meta.size() > 1 && go->meta[1] > 0) {
+            go->meta[1] > 0) {
           // The controller's verdict names a rank; the schedule wants the
           // straggler's position inside this round's membership. A verdict
           // for a rank outside the round (it was dropped between the
@@ -341,35 +395,35 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
 
         if (reduced.ok && reduced.contributors > 0) {
           double scale = 1.0;
-          if (stale_reuse) {
-            // eager-SGD averages over the fixed world size N: absent
-            // workers dilute the update instead of re-weighting it.
-            scale = static_cast<double>(reduced.contributors) /
-                    static_cast<double>(world);
-          } else if (config.lr_policy == LrScalePolicy::kLinear) {
-            // RNA's Linear Scaling Rule: γ_k ∝ participating batch size.
-            // The denominator stays the original world: a dead worker is a
-            // permanent null contributor under the paper's gradient rule.
-            scale = static_cast<double>(reduced.contributors) /
-                    static_cast<double>(world);
+          if (stale_reuse || config.lr_policy == LrScalePolicy::kLinear) {
+            // RNA's Linear Scaling Rule: γ_k ∝ participating batch size;
+            // eager-SGD averages the same way, so absent workers dilute the
+            // update instead of re-weighting it. The denominator stays the
+            // group's founding size: a dead worker is a permanent null
+            // contributor under the paper's gradient rule.
+            scale = static_cast<double>(reduced.contributors) / founding_size;
           }
           // The paper's W = 1/Σw re-weight, folded into the LR scale; the
           // publishing rank reports it so the metric is per round.
           if (my_index == 0) obs::ObserveMetric("round.reweight_scale", scale);
           optimizer.Step(params, buffer, scale);
         }
-        // The lowest-ranked member publishes — rank 0 while it lives, its
-        // successor after; the round number keeps versions monotonic
-        // across a publisher change.
+        if (run.round_hook) {
+          run.round_hook({g, round, w, group, my_index, reduced.ok, params,
+                          track, &comm_times[w].comm});
+        }
+        // The lowest-ranked member publishes — the group's first rank while
+        // it lives, its successor after; the round number keeps versions
+        // monotonic across a publisher change.
         if (my_index == 0) {
-          board.Publish(params, static_cast<std::int64_t>(round) + 1);
+          boards[g]->Publish(params, static_cast<std::int64_t>(round) + 1);
         }
         if (my_index == 0 && !joiners.empty()) {
-          // Round leader ships its post-step replica to each joining rank
-          // (every member holds an identical one, so the choice of sender
-          // does not matter): params ‖ velocity in the pooled payload, LR
-          // in the meta. Re-sent every round a joiner stays syncing, so a
-          // transfer lost to a fault is retried by the next leader.
+          // Round leader ships its replica to each joining rank (every
+          // member holds an identical one, so the choice of sender does
+          // not matter): params ‖ velocity in the pooled payload, LR in the
+          // meta. Re-sent every round a joiner stays syncing, so a transfer
+          // lost to a fault is retried by the next leader.
           const std::span<const float> velocity = optimizer.Velocity();
           for (const net::Rank j : joiners) {
             net::Message state;
@@ -405,6 +459,8 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   compute_threads.reserve(world);
   for (std::size_t w = 0; w < world; ++w) {
     compute_threads.emplace_back([&, w] {
+      const net::Rank controller = world + group_of[w];
+      ParamBoard& board = *boards[group_of[w]];
       std::vector<float> params = init;
       std::vector<float> grad(dim);
       std::int64_t seen = 0;
@@ -426,7 +482,14 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           std::optional<net::Message> token;
           while (!(token = fabric.RecvFor(w, tags::kStep, 0.05))
                       .has_value()) {
-            if (global_stop.load() || fabric.IsClosed(w)) return;
+            // Lossless lockstep: global_stop only means *some* group
+            // finished its rounds; this group's controller still owes an
+            // exit token, so keep waiting for it (abandoning here would
+            // leave the controller's step/ack handshake short and make
+            // the tail rounds of slower groups racy).
+            if (fabric.IsClosed(w) || (faulty && global_stop.load())) {
+              return;
+            }
           }
           if (token->meta.empty() || token->meta[0] < 0) return;
           if (!faults.Alive(w)) return;
@@ -470,355 +533,383 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
     });
   }
 
-  // ---- controller ---------------------------------------------------------
-  std::thread controller_thread([&] {
-    const obs::TrackHandle track = obs::RegisterTrack("controller");
-    common::Rng rng(config.seed + 9001);
-    std::unique_ptr<TriggerPolicy> policy = policy_factory();
-    // Sharded readiness aggregate: every policy decision and the forced-
-    // trigger scan read O(1) tallies instead of scanning the world.
-    ReadinessBoard readiness(world);
-    std::vector<std::size_t> miss_count(world, 0);
-    std::vector<bool> responded(world, false);
-    // Consecutive rounds each rank reported without contributing a
-    // gradient — the controller's persistent-straggler evidence. Two or
-    // more misses in a row makes a rank the round's straggler verdict,
-    // which Schedule::kStragglar consumes to re-order the ring around it
-    // (a one-round miss is noise; skipping already covers it).
-    std::vector<std::size_t> skip_streak(world, 0);
+  // ---- one controller per group ------------------------------------------
+  std::vector<std::thread> controllers;
+  controllers.reserve(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    controllers.emplace_back([&, g] {
+      const EngineGroup& spec = run.groups[g];
+      const std::size_t group_size = spec.members.size();
+      const net::Rank self = world + g;
+      const obs::TrackHandle track = obs::RegisterTrack(spec.track);
+      MembershipDirectory& directory = *directories[g];
+      common::Seconds& busy = ctrl_busy[g];
+      std::size_t& msgs = ctrl_msgs[g];
+      common::Rng rng(spec.probe_seed);
+      std::unique_ptr<TriggerPolicy> policy = run.policy_factory();
+      // Sharded readiness aggregate: every policy decision and the forced-
+      // trigger scan read O(1) tallies instead of scanning the group. It
+      // and the per-member state below are indexed by slot_of[rank].
+      ReadinessBoard readiness(group_size);
+      std::vector<std::size_t> miss_count(group_size, 0);
+      std::vector<bool> responded(group_size, false);
+      // Consecutive rounds each member reported without contributing a
+      // gradient — the controller's persistent-straggler evidence. Two or
+      // more misses in a row makes a rank the round's straggler verdict,
+      // which Schedule::kStragglar consumes to re-order the ring around it
+      // (a one-round miss is noise; skipping already covers it).
+      std::vector<std::size_t> skip_streak(group_size, 0);
 
-    auto note_goodbye = [&](net::Rank src, std::size_t round) {
-      if (!directory.Manages(src)) return;
-      const MemberState was = directory.StateOf(src);
-      if (was == MemberState::kDead || was == MemberState::kLeft) return;
-      directory.OnDead(src);
-      faults.Kill(src);
-      readiness.Clear(src);
-      obs::CountMetric("fault.controller.deaths");
-      // A (near-)instant fault span on the controller track marks the
-      // exclusion on the timeline.
-      obs::ScopedTimer death_span(track, obs::Category::kFault,
-                                  "worker_death");
-      death_span.SetArg("rank", static_cast<double>(src));
-      death_span.SetArg("round", static_cast<double>(round));
-    };
+      auto note_goodbye = [&](net::Rank src, std::size_t round) {
+        if (!directory.Manages(src)) return;
+        const MemberState was = directory.StateOf(src);
+        if (was == MemberState::kDead || was == MemberState::kLeft) return;
+        directory.OnDead(src);
+        faults.Kill(src);
+        readiness.Clear(slot_of[src]);
+        obs::CountMetric("fault.controller.deaths");
+        // A (near-)instant fault span on the controller track marks the
+        // exclusion on the timeline.
+        obs::ScopedTimer death_span(track, obs::Category::kFault,
+                                    "worker_death");
+        death_span.SetArg("rank", static_cast<double>(src));
+        death_span.SetArg("round", static_cast<double>(round));
+      };
 
-    auto broadcast_exit = [&] {
-      for (std::size_t w = 0; w < world; ++w) {
-        net::Message go;
-        go.tag = tags::kGo;
-        go.meta = {-1, 1};
-        fabric.Send(controller, w, std::move(go));
-        net::Message step;
-        step.tag = tags::kStep;
-        step.meta = {-1};
-        fabric.Send(controller, w, std::move(step));
-      }
-    };
-
-    std::size_t round = 0;
-    for (; round < config.max_rounds && !global_stop.load(); ++round) {
-      std::vector<net::Rank> members;
-      std::vector<net::Rank> joiners;
-      {
-        // Busy time is accounted in thread-CPU seconds, not wall time:
-        // with hundreds of worker threads oversubscribing the cores, the
-        // wall clock inside these sections measures preemption, and the
-        // per-worker O(1) claim gated by bench_scale would drown in
-        // scheduler noise. The ScopedTimer still records the wall span
-        // for the trace.
-        common::ScopedCpuAccumulator dispatch_cpu(&ctrl_busy);
-        obs::ScopedTimer dispatch_timer(track, obs::Category::kOther,
-                                        "ctrl_dispatch");
-        dispatch_timer.SetArg("round", static_cast<double>(round));
-        const auto delta = directory.BeginRound(round);
-        for (const net::Rank r : delta.leaving) {
-          // Clean elastic departure: a personal exit Go (meta[1]==2
-          // distinguishes it from session end) plus an exit step token.
-          // Not a death — no strike-out, no fault accounting.
-          readiness.Clear(r);
-          net::Message bye_go;
-          bye_go.tag = tags::kGo;
-          bye_go.meta = {-1, 2};
-          fabric.Send(controller, r, std::move(bye_go));
-          net::Message bye_step;
-          bye_step.tag = tags::kStep;
-          bye_step.meta = {-1};
-          fabric.Send(controller, r, std::move(bye_step));
-          ctrl_msgs += 2;
-          obs::CountMetric("elastic.leaves");
+      auto broadcast_exit = [&] {
+        for (const net::Rank m : spec.members) {
+          net::Message go;
+          go.tag = tags::kGo;
+          go.meta = {-1, 1};
+          fabric.Send(self, m, std::move(go));
+          net::Message step;
+          step.tag = tags::kStep;
+          step.meta = {-1};
+          fabric.Send(self, m, std::move(step));
         }
-        members = directory.ActiveMembers();
-        joiners = directory.SyncingMembers();
-      }
-      if (members.empty()) break;
-      policy->BeginRound(world, rng);
+      };
 
-      if (lockstep) {
-        // Pace: one compute token per live rank, then account for every
-        // token (kReady, kGoodbye, or — under faults — a deadline miss
-        // from a hung worker, who stays a member and contributes null).
-        // Syncing joiners get no token: their first batch waits for the
-        // state transfer.
+      // Under lossless lockstep every group's controller runs its full
+      // round schedule: global_stop only records that another group's
+      // session ended first, and honoring it here would make the number
+      // of rounds (and so the batch accounting) of the remaining groups
+      // depend on cross-group thread timing. The monitor's `stop` (early
+      // target) still ends the loop; faulty runs keep the abort path.
+      const bool lossless_lockstep = lockstep && !faulty;
+      auto session_over = [&] {
+        return stop.load() || (!lossless_lockstep && global_stop.load());
+      };
+      std::size_t round = 0;
+      for (; round < config.max_rounds && !session_over(); ++round) {
+        std::vector<net::Rank> members;
+        std::vector<net::Rank> joiners;
         {
-          common::ScopedCpuAccumulator token_cpu(&ctrl_busy);
-          obs::ScopedTimer token_timer(track, obs::Category::kOther,
-                                       "ctrl_tokens");
-          for (net::Rank m : members) {
-            net::Message step;
-            step.tag = tags::kStep;
-            step.meta = {static_cast<std::int64_t>(round)};
-            fabric.Send(controller, m, std::move(step));
+          // Busy time is accounted in thread-CPU seconds, not wall time:
+          // with hundreds of worker threads oversubscribing the cores, the
+          // wall clock inside these sections measures preemption, and the
+          // per-worker O(1) claim gated by bench_scale would drown in
+          // scheduler noise. The ScopedTimer still records the wall span
+          // for the trace.
+          common::ScopedCpuAccumulator dispatch_cpu(&busy);
+          obs::ScopedTimer dispatch_timer(track, obs::Category::kOther,
+                                          "ctrl_dispatch");
+          dispatch_timer.SetArg("round", static_cast<double>(round));
+          const auto delta = directory.BeginRound(round);
+          for (const net::Rank r : delta.leaving) {
+            // Clean elastic departure: a personal exit Go (meta[1]==2
+            // distinguishes it from session end) plus an exit step token.
+            // Not a death — no strike-out, no fault accounting.
+            readiness.Clear(slot_of[r]);
+            net::Message bye_go;
+            bye_go.tag = tags::kGo;
+            bye_go.meta = {-1, 2};
+            fabric.Send(self, r, std::move(bye_go));
+            net::Message bye_step;
+            bye_step.tag = tags::kStep;
+            bye_step.meta = {-1};
+            fabric.Send(self, r, std::move(bye_step));
+            msgs += 2;
+            obs::CountMetric("elastic.leaves");
           }
-          ctrl_msgs += members.size();
-          std::fill(responded.begin(), responded.end(), false);
+          members = directory.ActiveMembers();
+          joiners = directory.SyncingMembers();
         }
-        std::size_t got = 0;
-        const int ack_tags[] = {tags::kReady, tags::kGoodbye};
-        obs::ScopedTimer step_timer(track, obs::Category::kWait, "step_wait");
-        step_timer.SetArg("round", static_cast<double>(round));
-        while (got < members.size() && !stop.load() && !global_stop.load()) {
+        if (members.empty()) break;
+        policy->BeginRound(group_size, rng);
+
+        if (lockstep) {
+          // Pace: one compute token per live member, then account for
+          // every token (kReady, kGoodbye, or — under faults — a deadline
+          // miss from a hung worker, who stays a member and contributes
+          // null). Syncing joiners get no token: their first batch waits
+          // for the state transfer.
+          {
+            common::ScopedCpuAccumulator token_cpu(&busy);
+            obs::ScopedTimer token_timer(track, obs::Category::kOther,
+                                         "ctrl_tokens");
+            for (net::Rank m : members) {
+              net::Message step;
+              step.tag = tags::kStep;
+              step.meta = {static_cast<std::int64_t>(round)};
+              fabric.Send(self, m, std::move(step));
+            }
+            msgs += members.size();
+            std::fill(responded.begin(), responded.end(), false);
+          }
+          std::size_t got = 0;
+          const int ack_tags[] = {tags::kReady, tags::kGoodbye};
+          obs::ScopedTimer step_timer(track, obs::Category::kWait,
+                                      "step_wait");
+          step_timer.SetArg("round", static_cast<double>(round));
+          while (got < members.size() && !session_over()) {
+            std::optional<net::Message> msg;
+            if (faulty) {
+              const common::Seconds left =
+                  report_budget - step_timer.Elapsed();
+              if (left <= 0.0) break;
+              msg = fabric.RecvAnyFor(self, ack_tags, left);
+              if (!msg.has_value()) break;  // deadline or shutdown
+            } else {
+              // Lossless fast path: every live member acks its step
+              // token, and Shutdown() wakes the wait.
+              msg = fabric.RecvAny(  // analyze:allow(timed-recv)
+                  self, ack_tags);
+              if (!msg.has_value()) return;  // fabric shut down
+            }
+            const net::Rank src = msg->src;
+            const std::size_t slot = slot_of[src];
+            common::ScopedCpuAccumulator handle_cpu(&busy);
+            obs::ScopedTimer handle_timer(track, obs::Category::kOther,
+                                          "ctrl_handle");
+            ++msgs;
+            if (msg->tag == tags::kGoodbye) {
+              note_goodbye(src, round);
+            } else if (directory.IsActive(src)) {
+              readiness.Add(slot, 1);
+            }
+            if (!responded[slot]) {
+              responded[slot] = true;
+              ++got;
+            }
+          }
+          step_timer.Stop();
+          if (session_over()) break;
+          members = directory.ActiveMembers();  // goodbyes may shrink it
+          if (members.empty()) break;
+        } else {
+          obs::ScopedTimer probe_timer(track, obs::Category::kWait,
+                                       "probe_wait");
+          probe_timer.SetArg("round", static_cast<double>(round));
+          common::Seconds election_start = 0.0;
+          while (!session_over()) {
+            // Drain the whole notification backlog each pass so the
+            // controller mailbox stays small even with very fast compute
+            // threads.
+            while (auto note = fabric.TryRecv(self, tags::kReady)) {
+              if (directory.IsActive(note->src)) {
+                readiness.Add(slot_of[note->src], 1);
+              }
+            }
+            if (faulty) {
+              while (auto bye = fabric.TryRecv(self, tags::kGoodbye)) {
+                note_goodbye(bye->src, round);
+              }
+              // A hung worker's late report from an earlier round: fold
+              // its gradient accounting in, clear its death strikes.
+              while (auto late = fabric.TryRecv(self, tags::kRoundEnd)) {
+                const std::size_t slot = slot_of[late->src];
+                readiness.Add(slot, -late->meta[1]);
+                miss_count[slot] = 0;
+                const bool was_aborted =
+                    late->meta.size() > 2 && late->meta[2] != 0;
+                if (!was_aborted) {
+                  batches_applied.fetch_add(
+                      static_cast<std::size_t>(late->meta[1]));
+                }
+              }
+              if (directory.ActiveCount() == 0) break;
+            }
+            if (policy->ShouldTrigger(readiness)) break;
+            if (faulty &&
+                probe_timer.Elapsed() - election_start >
+                    config.fault.probe_timeout_s) {
+              if (readiness.ReadyRanks() > 0) {
+                // Probed-and-silent workers are treated as absent (the
+                // paper's null-gradient rule): force the round with
+                // whoever is ready rather than waiting on the dead.
+                obs::CountMetric("fault.forced_triggers");
+                break;
+              }
+              // Nobody ready at all: hold a fresh election and keep
+              // waiting.
+              policy->BeginRound(group_size, rng);
+              obs::CountMetric("fault.reelections");
+              election_start = probe_timer.Elapsed();
+            }
+            auto note = fabric.RecvFor(self, tags::kReady, 0.002);
+            if (note.has_value() && directory.IsActive(note->src)) {
+              readiness.Add(slot_of[note->src], 1);
+            }
+          }
+          if (session_over()) break;
+          members = directory.ActiveMembers();
+          if (members.empty()) break;
+        }
+
+        obs::ScopedTimer round_timer(track, obs::Category::kRound, "round");
+        round_timer.SetArg("round", static_cast<double>(round));
+        {
+          common::ScopedCpuAccumulator go_cpu(&busy);
+          obs::ScopedTimer go_timer(track, obs::Category::kOther, "ctrl_go");
+          // Go carries the round's membership so every member builds the
+          // same ring, plus the straggler verdict in meta[1]: rank+1 of the
+          // live member with the longest ≥2-round non-contribution streak,
+          // or 0 when there is none. Every member sees the same verdict, so
+          // Schedule::kStragglar's permutation is identical ring-wide.
+          // meta[2] = member count M; meta[3..3+M) = the ring; any tail
+          // beyond M lists syncing joiners — the leader (members[0]) sends
+          // each one the model state after the collective, and the joiners
+          // themselves learn which round to expect that state on.
+          std::int64_t verdict = 0;
+          std::size_t best_streak = 1;
+          for (net::Rank m : members) {
+            if (skip_streak[slot_of[m]] > best_streak) {
+              best_streak = skip_streak[slot_of[m]];
+              verdict = static_cast<std::int64_t>(m) + 1;
+            }
+          }
+          if (verdict != 0) obs::CountMetric("round.straggler_verdicts");
+          std::vector<std::int64_t> meta = {
+              static_cast<std::int64_t>(round), verdict,
+              static_cast<std::int64_t>(members.size())};
+          for (net::Rank r : members) {
+            meta.push_back(static_cast<std::int64_t>(r));
+          }
+          for (net::Rank j : joiners) {
+            meta.push_back(static_cast<std::int64_t>(j));
+          }
+          for (const std::vector<net::Rank>* to : {&members, &joiners}) {
+            for (const net::Rank r : *to) {
+              net::Message go;
+              go.tag = tags::kGo;
+              go.meta = meta;
+              fabric.Send(self, r, std::move(go));
+            }
+          }
+          msgs += members.size() + joiners.size();
+        }
+        const int want[] = {tags::kRoundEnd, tags::kReady, tags::kGoodbye};
+        std::size_t contributors = 0;
+        std::size_t reports = 0;
+        // Members report after the collective; syncing joiners report after
+        // (attempting to) install the transferred state.
+        const std::size_t expected = members.size() + joiners.size();
+        std::fill(responded.begin(), responded.end(), false);
+        obs::ScopedTimer report_timer(track, obs::Category::kWait,
+                                      "report_wait");
+        while (reports < expected) {
           std::optional<net::Message> msg;
           if (faulty) {
-            const common::Seconds left = report_budget - step_timer.Elapsed();
+            const common::Seconds left =
+                report_budget - report_timer.Elapsed();
             if (left <= 0.0) break;
-            msg = fabric.RecvAnyFor(controller, ack_tags, left);
+            msg = fabric.RecvAnyFor(self, want, left);
             if (!msg.has_value()) break;  // deadline or shutdown
           } else {
-            // Lossless fast path: every live member acks its step token,
+            // Lossless fast path: every live member reports each round,
             // and Shutdown() wakes the wait.
-            msg = fabric.RecvAny(  // analyze:allow(timed-recv)
-                controller, ack_tags);
+            msg = fabric.RecvAny(self, want);  // analyze:allow(timed-recv)
             if (!msg.has_value()) return;  // fabric shut down
           }
           const net::Rank src = msg->src;
-          common::ScopedCpuAccumulator handle_cpu(&ctrl_busy);
+          const std::size_t slot = slot_of[src];
+          common::ScopedCpuAccumulator handle_cpu(&busy);
           obs::ScopedTimer handle_timer(track, obs::Category::kOther,
                                         "ctrl_handle");
-          ++ctrl_msgs;
+          ++msgs;
+          if (msg->tag == tags::kReady) {
+            if (directory.IsActive(src)) readiness.Add(slot, 1);
+            continue;
+          }
           if (msg->tag == tags::kGoodbye) {
             note_goodbye(src, round);
-            if (!responded[src]) {
-              responded[src] = true;
-              ++got;
+            const bool counted =
+                std::find(members.begin(), members.end(), src) !=
+                    members.end() ||
+                std::find(joiners.begin(), joiners.end(), src) !=
+                    joiners.end();
+            if (counted && !responded[slot]) {
+              responded[slot] = true;
+              ++reports;
             }
             continue;
           }
-          if (directory.IsActive(src)) readiness.Add(src, 1);
-          if (!responded[src]) {
-            responded[src] = true;
-            ++got;
+          // kRoundEnd — possibly a late report of an earlier round.
+          readiness.Add(slot, -msg->meta[1]);
+          miss_count[slot] = 0;
+          const bool aborted = msg->meta.size() > 2 && msg->meta[2] != 0;
+          if (!aborted) {
+            batches_applied.fetch_add(static_cast<std::size_t>(msg->meta[1]));
           }
-        }
-        step_timer.Stop();
-        if (stop.load() || global_stop.load()) break;
-        members = directory.ActiveMembers();  // goodbyes may have shrunk it
-        if (members.empty()) break;
-      } else {
-        obs::ScopedTimer probe_timer(track, obs::Category::kWait,
-                                     "probe_wait");
-        probe_timer.SetArg("round", static_cast<double>(round));
-        common::Seconds election_start = 0.0;
-        while (!stop.load() && !global_stop.load()) {
-          // Drain the whole notification backlog each pass so the
-          // controller mailbox stays small even with very fast compute
-          // threads.
-          while (auto note = fabric.TryRecv(controller, tags::kReady)) {
-            if (directory.IsActive(note->src)) readiness.Add(note->src, 1);
-          }
-          if (faulty) {
-            while (auto bye = fabric.TryRecv(controller, tags::kGoodbye)) {
-              note_goodbye(bye->src, round);
-            }
-            // A hung worker's late report from an earlier round: fold its
-            // gradient accounting in, clear its death strikes.
-            while (auto late = fabric.TryRecv(controller, tags::kRoundEnd)) {
-              readiness.Add(late->src, -late->meta[1]);
-              miss_count[late->src] = 0;
-              const bool was_aborted =
-                  late->meta.size() > 2 && late->meta[2] != 0;
-              if (!was_aborted) {
-                batches_applied.fetch_add(
-                    static_cast<std::size_t>(late->meta[1]));
-              }
-            }
-            if (directory.ActiveCount() == 0) break;
-          }
-          if (policy->ShouldTrigger(readiness)) break;
-          if (faulty &&
-              probe_timer.Elapsed() - election_start >
-                  config.fault.probe_timeout_s) {
-            if (readiness.ReadyRanks() > 0) {
-              // Probed-and-silent workers are treated as absent (the
-              // paper's null-gradient rule): force the round with whoever
-              // is ready rather than waiting on the dead.
-              obs::CountMetric("fault.forced_triggers");
-              break;
-            }
-            // Nobody ready at all: hold a fresh election and keep waiting.
-            policy->BeginRound(world, rng);
-            obs::CountMetric("fault.reelections");
-            election_start = probe_timer.Elapsed();
-          }
-          auto note = fabric.RecvFor(controller, tags::kReady, 0.002);
-          if (note.has_value() && directory.IsActive(note->src)) {
-            readiness.Add(note->src, 1);
-          }
-        }
-        if (stop.load() || global_stop.load()) break;
-        members = directory.ActiveMembers();
-        if (members.empty()) break;
-      }
-
-      obs::ScopedTimer round_timer(track, obs::Category::kRound, "round");
-      round_timer.SetArg("round", static_cast<double>(round));
-      {
-        common::ScopedCpuAccumulator go_cpu(&ctrl_busy);
-        obs::ScopedTimer go_timer(track, obs::Category::kOther, "ctrl_go");
-        // Go carries the round's membership so every member builds the
-        // same ring, plus the straggler verdict in meta[1]: rank+1 of the
-        // live member with the longest ≥2-round non-contribution streak,
-        // or 0 when there is none. Every member sees the same verdict, so
-        // Schedule::kStragglar's permutation is identical ring-wide.
-        // meta[2] = member count M; meta[3..3+M) = the ring; any tail
-        // beyond M lists syncing joiners — the leader (members[0]) sends
-        // each one the model state after the collective, and the joiners
-        // themselves learn which round to expect that state on.
-        std::int64_t verdict = 0;
-        std::size_t best_streak = 1;
-        for (net::Rank m : members) {
-          if (skip_streak[m] > best_streak) {
-            best_streak = skip_streak[m];
-            verdict = static_cast<std::int64_t>(m) + 1;
-          }
-        }
-        if (verdict != 0) obs::CountMetric("round.straggler_verdicts");
-        net::Message proto;
-        proto.meta = {static_cast<std::int64_t>(round), verdict,
-                      static_cast<std::int64_t>(members.size())};
-        for (net::Rank r : members) {
-          proto.meta.push_back(static_cast<std::int64_t>(r));
-        }
-        for (net::Rank j : joiners) {
-          proto.meta.push_back(static_cast<std::int64_t>(j));
-        }
-        for (net::Rank m : members) {
-          net::Message go;
-          go.tag = tags::kGo;
-          go.meta = proto.meta;
-          fabric.Send(controller, m, std::move(go));
-        }
-        for (net::Rank j : joiners) {
-          net::Message go;
-          go.tag = tags::kGo;
-          go.meta = proto.meta;
-          fabric.Send(controller, j, std::move(go));
-        }
-        ctrl_msgs += members.size() + joiners.size();
-      }
-      const int want[] = {tags::kRoundEnd, tags::kReady, tags::kGoodbye};
-      std::size_t contributors = 0;
-      std::size_t reports = 0;
-      // Members report after the collective; syncing joiners report after
-      // (attempting to) install the transferred state.
-      const std::size_t expected = members.size() + joiners.size();
-      std::fill(responded.begin(), responded.end(), false);
-      obs::ScopedTimer report_timer(track, obs::Category::kWait,
-                                    "report_wait");
-      while (reports < expected) {
-        std::optional<net::Message> msg;
-        if (faulty) {
-          const common::Seconds left = report_budget - report_timer.Elapsed();
-          if (left <= 0.0) break;
-          msg = fabric.RecvAnyFor(controller, want, left);
-          if (!msg.has_value()) break;  // deadline or shutdown
-        } else {
-          // Lossless fast path: every live member reports each round, and
-          // Shutdown() wakes the wait.
-          msg = fabric.RecvAny(  // analyze:allow(timed-recv)
-              controller, want);
-          if (!msg.has_value()) return;  // fabric shut down
-        }
-        const net::Rank src = msg->src;
-        common::ScopedCpuAccumulator handle_cpu(&ctrl_busy);
-        obs::ScopedTimer handle_timer(track, obs::Category::kOther,
-                                      "ctrl_handle");
-        ++ctrl_msgs;
-        if (msg->tag == tags::kReady) {
-          if (directory.IsActive(src)) readiness.Add(src, 1);
-          continue;
-        }
-        if (msg->tag == tags::kGoodbye) {
-          note_goodbye(src, round);
-          const bool counted =
-              std::find(members.begin(), members.end(), src) !=
-                  members.end() ||
-              std::find(joiners.begin(), joiners.end(), src) != joiners.end();
-          if (counted && !responded[src]) {
-            responded[src] = true;
+          if (static_cast<std::size_t>(msg->meta[0]) != round) continue;
+          if (!responded[slot]) {
+            responded[slot] = true;
             ++reports;
           }
-          continue;
-        }
-        // kRoundEnd — possibly a late report of an earlier round.
-        readiness.Add(src, -msg->meta[1]);
-        miss_count[src] = 0;
-        const bool aborted = msg->meta.size() > 2 && msg->meta[2] != 0;
-        if (!aborted) {
-          batches_applied.fetch_add(static_cast<std::size_t>(msg->meta[1]));
-        }
-        if (static_cast<std::size_t>(msg->meta[0]) != round) continue;
-        if (!responded[src]) {
-          responded[src] = true;
-          ++reports;
-        }
-        if (directory.IsSyncing(src)) {
-          // A joiner's sync ack: meta[3] == 1 means the state transfer
-          // landed and the rank computes from the next round on. A zero
-          // flag (leader's send lost on a lossy fabric) keeps it syncing;
-          // the next round's Go re-lists it and the leader re-sends.
-          if (msg->meta.size() > 3 && msg->meta[3] != 0) {
-            directory.OnSynced(src);
-            obs::CountMetric("elastic.joins");
+          if (directory.IsSyncing(src)) {
+            // A joiner's sync ack: meta[3] == 1 means the state transfer
+            // landed and the rank computes from the next round on. A zero
+            // flag (leader's send lost on a lossy fabric) keeps it
+            // syncing; the next round's Go re-lists it and the leader
+            // re-sends.
+            if (msg->meta.size() > 3 && msg->meta[3] != 0) {
+              directory.OnSynced(src);
+              obs::CountMetric("elastic.joins");
+            }
+            continue;
           }
-          continue;
+          if (!aborted && msg->meta[1] > 0) {
+            ++contributors;
+            skip_streak[slot] = 0;
+          } else {
+            ++skip_streak[slot];
+          }
         }
-        if (!aborted && msg->meta[1] > 0) {
-          ++contributors;
-          skip_streak[src] = 0;
-        } else {
-          ++skip_streak[src];
+        report_timer.Stop();
+        if (reports < expected) {
+          // Deadline expired with silent members: report silence means the
+          // comm thread is gone (fail-stop), unlike step silence which is
+          // just slow compute. Strike them; dead_after_misses strikes
+          // kills.
+          auto strike = [&](net::Rank m) {
+            const MemberState s = directory.StateOf(m);
+            if (s == MemberState::kDead || s == MemberState::kLeft) return;
+            const std::size_t slot = slot_of[m];
+            if (responded[slot]) return;
+            if (++miss_count[slot] >= config.fault.dead_after_misses) {
+              note_goodbye(m, round);
+              obs::CountMetric("fault.declared_dead");
+            }
+          };
+          for (net::Rank m : members) strike(m);
+          for (net::Rank j : joiners) strike(j);
+          obs::CountMetric("fault.report_deadline_misses");
+        }
+        round_timer.SetArg("contributors", static_cast<double>(contributors));
+        obs::ObserveMetric("round.contributors",
+                           static_cast<double>(contributors));
+        if (g == group_of[0]) {
+          obs::CountMetric("round.count");
+          round_contributors.push_back(contributors);
+          rounds_done.fetch_add(1);
         }
       }
-      report_timer.Stop();
-      if (reports < expected) {
-        // Deadline expired with silent members: report silence means the
-        // comm thread is gone (fail-stop), unlike step silence which is
-        // just slow compute. Strike them; dead_after_misses strikes kills.
-        auto strike = [&](net::Rank m) {
-          const MemberState s = directory.StateOf(m);
-          if (s == MemberState::kDead || s == MemberState::kLeft) return;
-          if (responded[m]) return;
-          if (++miss_count[m] >= config.fault.dead_after_misses) {
-            note_goodbye(m, round);
-            obs::CountMetric("fault.declared_dead");
-          }
-        };
-        for (net::Rank m : members) strike(m);
-        for (net::Rank j : joiners) strike(j);
-        obs::CountMetric("fault.report_deadline_misses");
-      }
-      round_timer.SetArg("contributors", static_cast<double>(contributors));
-      obs::CountMetric("round.count");
-      obs::ObserveMetric("round.contributors",
-                         static_cast<double>(contributors));
-      round_contributors.push_back(contributors);
-      rounds_done.fetch_add(1);
-    }
-    broadcast_exit();  // no collective, everyone leaves
-  });
+      broadcast_exit();  // no collective, everyone leaves
+      if (run.controller_exit) run.controller_exit(g);
+    });
+  }
 
-  controller_thread.join();
+  for (auto& t : controllers) t.join();
   for (auto& t : comm_threads) t.join();
   // comm exits flip global_stop; compute threads notice within an iteration.
   for (auto& t : compute_threads) t.join();
@@ -837,10 +928,12 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   result.curve = monitor.Curve();
   result.round_contributors = std::move(round_contributors);
   result.live_workers = faults.LiveCount();
-  result.workers_joined = directory.JoinedTotal();
-  result.workers_left = directory.LeftTotal();
-  result.controller_busy_seconds = ctrl_busy;
-  result.controller_messages = ctrl_msgs;
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    result.workers_joined += directories[g]->JoinedTotal();
+    result.workers_left += directories[g]->LeftTotal();
+    result.controller_busy_seconds += ctrl_busy[g];
+    result.controller_messages += ctrl_msgs[g];
+  }
 
   result.breakdown.resize(world);
   for (std::size_t w = 0; w < world; ++w) {
@@ -850,12 +943,12 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   }
 
   // The lowest surviving *active* rank's replica is the result (all active
-  // survivors hold identical parameters after their last shared
+  // survivors of a group hold identical parameters after their last shared
   // collective; a clean leaver's replica is frozen at its exit round).
   std::size_t reporter = 0;
   bool found = false;
   for (std::size_t w = 0; w < world && !found; ++w) {
-    if (directory.IsActive(w) && faults.Alive(w)) {
+    if (directories[group_of[w]]->IsActive(w) && faults.Alive(w)) {
       reporter = w;
       found = true;
     }

@@ -137,6 +137,16 @@ TEST_P(PolicyDeterminism, IdenticalRunsUnderRna) {
   ExpectIdenticalRunsWith(config);
 }
 
+// rna-h runs every speed group on the same engine as flat RNA, so each
+// group controller computes the straggler verdict kStragglar consumes.
+// max_group_size = 2 splits the three equal-speed workers into two groups.
+TEST(PolicyDeterminism, HierarchicalStragglarAcrossGroups) {
+  TrainerConfig config = LockstepConfig(Protocol::kRnaHierarchical);
+  config.schedule = collectives::Schedule::kStragglar;
+  config.max_group_size = 2;
+  ExpectIdenticalRunsWith(config);
+}
+
 std::string PolicyName(const ::testing::TestParamInfo<PolicyParam>& info) {
   const auto [schedule, compression] = info.param;
   return std::string(collectives::ScheduleName(schedule)) + "_" +
@@ -188,6 +198,21 @@ TEST(ElasticDeterminism, CentralizedPs) {
   TrainerConfig c = ElasticConfig(Protocol::kCentralizedPs);
   c.ps_shards = 2;
   ExpectIdenticalRunsWith(c);
+}
+
+// Flat RNA is the engine with one group and no round hook; rna-h with one
+// speed group and no PS syncs is the same engine run, so the two protocols
+// must agree bit for bit — with and without membership churn.
+TEST(LockstepDeterminism, FlatRnaEqualsOneGroupHierarchical) {
+  for (const bool elastic : {false, true}) {
+    SCOPED_TRACE(elastic ? "elastic" : "plain");
+    TrainerConfig flat = elastic ? ElasticConfig(Protocol::kRna)
+                                 : LockstepConfig(Protocol::kRna);
+    flat.ps_sync_every = 0;
+    TrainerConfig hier = flat;
+    hier.protocol = Protocol::kRnaHierarchical;
+    ExpectIdenticalRunsAcross(flat, hier);
+  }
 }
 
 // Protocols without an elastic path must reject the schedule up front with

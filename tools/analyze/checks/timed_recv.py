@@ -21,6 +21,13 @@ def _is_sink_owner(fn):
     return config.matches_any(fn.qname, config.RECV_SINK_OWNERS)
 
 
+def unmatched_entry_patterns(program):
+    """Entry patterns that name no function of `program` — stale config."""
+    return [p for p in config.RECV_ENTRY_PATTERNS
+            if not any(config.matches_any(fn.qname, (p,))
+                       for fn in program.functions.values())]
+
+
 def run(program, graph, root=None):
     entries = [fn for fn in program.functions.values()
                if config.matches_any(fn.qname, config.RECV_ENTRY_PATTERNS)

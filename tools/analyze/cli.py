@@ -17,7 +17,7 @@ from pathlib import Path
 from . import baseline as baseline_mod
 from . import frontend, selftest
 from .callgraph import CallGraph
-from .checks import CHECKS
+from .checks import CHECKS, timed_recv
 
 
 def _parse_args(argv):
@@ -104,6 +104,14 @@ def main(argv=None):
               f"allocs={nallocs} locks={nlocks} tags={ntags}")
 
     selected = args.checks or sorted(CHECKS)
+    if "timed-recv" in selected:
+        stale = timed_recv.unmatched_entry_patterns(program)
+        for pattern in stale:
+            print(f"analyze: timed-recv entry pattern {pattern!r} matches "
+                  "no function — fix RECV_ENTRY_PATTERNS in "
+                  "tools/analyze/config.py", file=sys.stderr)
+        if stale:
+            return 1
     findings = []
     for name in selected:
         findings.extend(CHECKS[name](program, graph, root=root))

@@ -64,11 +64,13 @@ HEAP_BOUNDARY_PATTERNS = (
 
 # -- timed-recv --------------------------------------------------------------
 
-# Every protocol/baseline entry point that must survive message loss.
+# Every protocol/baseline entry point that must survive message loss. Each
+# pattern must match at least one function of the analyzed program (the
+# run fails otherwise), so a rename cannot silently drop an entry.
 RECV_ENTRY_PATTERNS = (
-    "rna::core::RunFlatRna",
+    "rna::core::RunTraining",
     "rna::core::RunHierarchicalRna",
-    "rna::core::internal::*",
+    "rna::core::detail::*",
     "rna::baselines::Run*",
     "rna::ps::ParameterServer::*",
     "rna::ps::PsClient::*",
