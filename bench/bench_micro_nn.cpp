@@ -1,8 +1,9 @@
 // Microbenchmarks for the arena-allocated compute plane: tiled matmul
-// kernels (vectorized vs scalar dispatch) and whole train-step throughput
-// for every model family, with the steady-state heap-allocation count
-// measured directly (this binary replaces global operator new/delete with
-// counting versions, the same technique as tests/test_arena.cpp).
+// kernels (widest and 16-byte vector kernels vs the scalar reference) and
+// whole train-step throughput for every model family, with the
+// steady-state heap-allocation count measured directly (this binary
+// replaces global operator new/delete with counting versions, the same
+// technique as tests/test_arena.cpp).
 //
 // Two modes (same contract as bench_micro_kernels):
 //   (default)            google-benchmark sweep.
@@ -155,11 +156,13 @@ void BM_TrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStep)->DenseRange(0, 4);
 
+// range(1): 0 = kAuto (widest kernels), 1 = scalar, 2 = 16-byte kernels.
 void BM_BlockedMatMul(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  common::simd::SetDispatch(state.range(1) == 0
-                                ? common::simd::Dispatch::kAuto
-                                : common::simd::Dispatch::kScalar);
+  constexpr common::simd::Dispatch kDispatches[] = {
+      common::simd::Dispatch::kAuto, common::simd::Dispatch::kScalar,
+      common::simd::Dispatch::kVec16};
+  common::simd::SetDispatch(kDispatches[state.range(1)]);
   common::Rng rng(1);
   std::vector<float> a(n * n), b(n * n), c(n * n);
   for (auto& x : a) x = static_cast<float>(rng.Normal(0, 1));
@@ -175,8 +178,10 @@ void BM_BlockedMatMul(benchmark::State& state) {
 BENCHMARK(BM_BlockedMatMul)
     ->Args({64, 0})
     ->Args({64, 1})
+    ->Args({64, 2})
     ->Args({192, 0})
-    ->Args({192, 1});
+    ->Args({192, 1})
+    ->Args({192, 2});
 
 // ---------------------------------------------------------- json-out mode
 
@@ -219,6 +224,8 @@ benchutil::BenchRow MatMulRow(const std::string& label, MatShape shape,
   const double narrow =
       MeasureMatMulFlops(common::simd::Dispatch::kScalar, shape, kernel);
   row.values["flops_auto_per_s"] = wide;
+  row.values["flops_vec16_per_s"] =
+      MeasureMatMulFlops(common::simd::Dispatch::kVec16, shape, kernel);
   row.values["flops_scalar_per_s"] = narrow;
   row.values["speedup"] = wide / narrow;
   return row;
@@ -286,7 +293,11 @@ int JsonMain(const std::string& path) {
   for (const char* kind : kModelKinds) {
     rows.push_back(TrainStepRow(kind));
   }
-  benchutil::WriteBenchJson(path, "micro_nn", rows);
+  // kernel_isa names what flops_auto_per_s measured: the widest matmul
+  // kernels this CPU runs (flops_vec16_per_s is always the 16-byte ones).
+  benchutil::WriteBenchJson(path, "micro_nn", rows,
+                            {{"kernel_isa", common::simd::KernelIsa()}});
+  std::printf("kernel_isa=%s\n", common::simd::KernelIsa());
   for (const auto& row : rows) {
     std::printf("%-24s", row.label.c_str());
     for (const auto& [key, value] : row.values) {

@@ -24,6 +24,7 @@
 #include "rna/net/fabric.hpp"
 #include "rna/net/fault.hpp"
 #include "rna/obs/metrics.hpp"
+#include "simd_widths.hpp"
 
 namespace rna {
 namespace {
@@ -71,15 +72,7 @@ std::vector<float> TestVector(std::size_t n, std::uint32_t salt) {
   return v;
 }
 
-/// Restores kAuto dispatch even when an assertion fails mid-test.
-struct ScopedDispatch {
-  explicit ScopedDispatch(common::simd::Dispatch d) {
-    common::simd::SetDispatch(d);
-  }
-  ~ScopedDispatch() {
-    common::simd::SetDispatch(common::simd::Dispatch::kAuto);
-  }
-};
+using testutil::ScopedDispatch;
 
 const std::size_t kKernelSizes[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64,
                                     100, 1027};

@@ -17,6 +17,7 @@
 #include "rna/nn/loss.hpp"
 #include "rna/nn/network.hpp"
 #include "rna/nn/optimizer.hpp"
+#include "simd_widths.hpp"
 
 namespace rna::nn {
 namespace {
@@ -392,22 +393,23 @@ INSTANTIATE_TEST_SUITE_P(Hidden, MlpGradSweep, ::testing::Values(1, 4, 16, 33));
 
 // ---------------------------------------------------------------------------
 // Arena/SIMD equivalence: the arena-allocated compute plane with the tiled
-// vectorized kernels must produce BITWISE-identical training trajectories to
-// the naive pre-arena path (heap temporaries + scalar kernels). This is the
-// contract that makes the arena a pure memory optimization and the matmul
-// tiling a pure speed optimization — neither may perturb training.
+// vectorized kernels, at every vector width this CPU runs, must produce
+// BITWISE-identical training trajectories to the naive pre-arena path (heap
+// temporaries + scalar kernels). This is the contract that makes the arena
+// a pure memory optimization and the matmul tiling a pure speed
+// optimization — neither may perturb training.
 
-class ScopedDispatch {
- public:
-  explicit ScopedDispatch(common::simd::Dispatch d)
-      : saved_(common::simd::ActiveDispatch()) {
-    common::simd::SetDispatch(d);
+using testutil::ScopedDispatch;
+using testutil::VectorDispatches;
+
+// Names the widths ArenaEquivalence ran; skips visibly on a host that runs
+// only the 16-byte kernels.
+TEST(MatMulWidths, BothWidthsUnderTest) {
+  if (!testutil::ReportWidthsUnderTest()) {
+    GTEST_SKIP() << "only the " << testutil::WidthsUnderTest()
+                 << "-byte matmul kernels ran on this host";
   }
-  ~ScopedDispatch() { common::simd::SetDispatch(saved_); }
-
- private:
-  common::simd::Dispatch saved_;
-};
+}
 
 std::unique_ptr<Network> EquivModel(const std::string& kind) {
   if (kind == "mlp") {
@@ -494,19 +496,21 @@ class ArenaEquivalence : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ArenaEquivalence, BitwiseIdenticalToNaivePath) {
   const int kIters = 4;
-  const TrainTrace fast =
-      RunTrainTrace(GetParam(), /*arena=*/true, common::simd::Dispatch::kAuto,
-                    kIters);
   const TrainTrace naive =
       RunTrainTrace(GetParam(), /*arena=*/false,
                     common::simd::Dispatch::kScalar, kIters);
-  ASSERT_EQ(fast.losses.size(), naive.losses.size());
-  for (int i = 0; i < kIters; ++i) {
-    EXPECT_EQ(fast.losses[i], naive.losses[i])
-        << "loss diverged at iteration " << i;
+  for (const auto& width : VectorDispatches()) {
+    SCOPED_TRACE(::testing::Message() << width.bytes << "-byte kernels");
+    const TrainTrace fast =
+        RunTrainTrace(GetParam(), /*arena=*/true, width.dispatch, kIters);
+    ASSERT_EQ(fast.losses.size(), naive.losses.size());
+    for (int i = 0; i < kIters; ++i) {
+      EXPECT_EQ(fast.losses[i], naive.losses[i])
+          << "loss diverged at iteration " << i;
+    }
+    ExpectBitwiseEqual(fast.grads, naive.grads, "final gradients");
+    ExpectBitwiseEqual(fast.params, naive.params, "final parameters");
   }
-  ExpectBitwiseEqual(fast.grads, naive.grads, "final gradients");
-  ExpectBitwiseEqual(fast.params, naive.params, "final parameters");
 }
 
 // The two switches are independent; flipping only one must also be exact.
@@ -520,12 +524,15 @@ TEST_P(ArenaEquivalence, ArenaAloneIsExact) {
 }
 
 TEST_P(ArenaEquivalence, VectorizedKernelsAloneAreExact) {
-  const TrainTrace vec = RunTrainTrace(GetParam(), /*arena=*/true,
-                                       common::simd::Dispatch::kAuto, 3);
   const TrainTrace sca = RunTrainTrace(GetParam(), /*arena=*/true,
                                        common::simd::Dispatch::kScalar, 3);
-  EXPECT_EQ(vec.losses, sca.losses);
-  ExpectBitwiseEqual(vec.params, sca.params, "final parameters");
+  for (const auto& width : VectorDispatches()) {
+    SCOPED_TRACE(::testing::Message() << width.bytes << "-byte kernels");
+    const TrainTrace vec =
+        RunTrainTrace(GetParam(), /*arena=*/true, width.dispatch, 3);
+    EXPECT_EQ(vec.losses, sca.losses);
+    ExpectBitwiseEqual(vec.params, sca.params, "final parameters");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, ArenaEquivalence,

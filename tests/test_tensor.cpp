@@ -13,6 +13,7 @@
 #include "rna/common/simd.hpp"
 #include "rna/tensor/ops.hpp"
 #include "rna/tensor/tensor.hpp"
+#include "simd_widths.hpp"
 
 namespace rna::tensor {
 namespace {
@@ -230,23 +231,27 @@ INSTANTIATE_TEST_SUITE_P(Grid, MatMulShapes,
                                             ::testing::Values(1, 4, 13)));
 
 // ---------------------------------------------------------------------------
-// Tiled kernel contract: for every transpose variant, dispatch kAuto must be
-// BITWISE identical to the scalar reference — not merely close. The sweep
-// leans on awkward shapes: 1×1, primes (never a multiple of the vector
-// width), k=0 (empty reduction), tall/skinny and short/fat extremes, odd m
-// (a lone row after the 2-row tiles), n around the 16-column tile edge and
-// the 4-wide remainder, and the benchmark transformer's attention shapes.
+// Tiled kernel contract: for every transpose variant and every vector width
+// this CPU runs (kAuto's widest and the forced 16-byte kernels), the result
+// must be BITWISE identical to the scalar reference — not merely close. The
+// sweep leans on awkward shapes: 1×1, primes (never a multiple of the
+// vector width), k=0 (empty reduction), tall/skinny and short/fat extremes,
+// m around the 2- and 4-row tiles, n around the 16-column tile, its 8- and
+// 4-wide remainders and the NT 4- and 8-column tiles, every k % 8 (the NT
+// tail), and the benchmark transformer's attention shapes.
 
-class ScopedScalarDispatch {
- public:
-  ScopedScalarDispatch() : saved_(common::simd::ActiveDispatch()) {
-    common::simd::SetDispatch(common::simd::Dispatch::kScalar);
+using testutil::ScopedDispatch;
+using testutil::VectorDispatches;
+
+// Names the widths the bitwise suites below ran, and skips visibly when
+// the CPU runs only one: a host without AVX2 checks the 16-byte kernels
+// alone, and says so instead of passing silently.
+TEST(MatMulWidths, BothWidthsUnderTest) {
+  if (!testutil::ReportWidthsUnderTest()) {
+    GTEST_SKIP() << "only the " << testutil::WidthsUnderTest()
+                 << "-byte matmul kernels ran on this host";
   }
-  ~ScopedScalarDispatch() { common::simd::SetDispatch(saved_); }
-
- private:
-  common::simd::Dispatch saved_;
-};
+}
 
 void ExpectBitwise(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(a.SameShape(b));
@@ -268,8 +273,8 @@ struct MatMulCase {
 
 class MatMulBitwise : public ::testing::TestWithParam<MatMulCase> {};
 
-// Runs NN, NT and TN on the operands of C(m×n) = A(m×k)·B(k×n) under both
-// dispatches and requires bitwise-equal results.
+// Runs NN, NT and TN on the operands of C(m×n) = A(m×k)·B(k×n) under every
+// vector width and the scalar dispatch and requires bitwise-equal results.
 void ExpectVariantsBitwise(const Tensor& a, const Tensor& b,
                            const Tensor& c_init, float alpha, float beta) {
   Tensor at = Transpose(a);  // k×m operand for the TN variant
@@ -293,14 +298,18 @@ void ExpectVariantsBitwise(const Tensor& a, const Tensor& b,
   };
   for (const auto& v : variants) {
     SCOPED_TRACE(v.name);
-    Tensor c_auto = c_init;
     Tensor c_scalar = c_init;
-    v.run(*v.lhs, *v.rhs, c_auto, alpha, beta);
     {
-      ScopedScalarDispatch scalar;
+      ScopedDispatch scalar(common::simd::Dispatch::kScalar);
       v.run(*v.lhs, *v.rhs, c_scalar, alpha, beta);
     }
-    ExpectBitwise(c_auto, c_scalar);
+    for (const auto& width : VectorDispatches()) {
+      SCOPED_TRACE(::testing::Message() << width.bytes << "-byte kernels");
+      ScopedDispatch vec(width.dispatch);
+      Tensor c_vec = c_init;
+      v.run(*v.lhs, *v.rhs, c_vec, alpha, beta);
+      ExpectBitwise(c_vec, c_scalar);
+    }
   }
 }
 
@@ -340,41 +349,77 @@ INSTANTIATE_TEST_SUITE_P(
         MatMulCase{24, 32, 16, 1.0f, 0.0f},    // Q/K/V projection
         MatMulCase{120, 120, 16, 1.0f, 0.0f},  // P·V, dV, dK at length 120
         MatMulCase{32, 120, 16, 1.0f, 1.0f},   // projection-weight gradient
-        MatMulCase{120, 16, 120, 0.25f, 0.0f}));  // attention scores
+        MatMulCase{120, 16, 120, 0.25f, 0.0f},  // attention scores
+        // m around the 2- and 4-row tiles, one full 16-column strip (n =
+        // 32 and 48: two and three), k % 8 = 1..7.
+        MatMulCase{3, 17, 16, 1.0f, 0.0f},
+        MatMulCase{4, 10, 16, 0.5f, 1.0f},
+        MatMulCase{5, 11, 32, 1.0f, 0.0f},
+        MatMulCase{6, 12, 16, -1.0f, 0.5f},
+        MatMulCase{7, 13, 48, 1.0f, 0.0f},
+        MatMulCase{8, 14, 16, 2.0f, 1.0f},
+        MatMulCase{9, 15, 16, 1.0f, 0.0f},
+        // NT n around the 4- and 8-column tiles (and NN/TN n in the 8- and
+        // 4-wide remainders and scalar tail), with every k % 8.
+        MatMulCase{2, 9, 7, 1.0f, 0.0f},
+        MatMulCase{3, 16, 8, 1.0f, 0.5f},
+        MatMulCase{4, 10, 9, -0.5f, 0.0f},
+        MatMulCase{5, 19, 12, 1.0f, 1.0f},
+        MatMulCase{3, 20, 15, 1.0f, 0.0f},
+        MatMulCase{6, 29, 17, 0.25f, 0.0f},
+        MatMulCase{1, 23, 31, 1.0f, 0.0f},
+        MatMulCase{4, 7, 24, 1.0f, 0.5f},   // k < 8: NT tail only
+        MatMulCase{1, 33, 1, 1.0f, 0.0f},   // one dot product
+        MatMulCase{1, 64, 96, 1.0f, 1.0f}));  // LSTM-style single row
 
-// Zeros must take the same skip path in both dispatches (the tiled NN/TN
+// Zeros must take the same skip path under every dispatch (the tiled NN/TN
 // kernels skip av==0 rows; the scalar references must skip identically).
 TEST(MatMulBitwiseZeros, SparseInputsMatchBitwise) {
   common::Rng rng(99);
   Tensor a = RandomTensor(9, 33, rng);
   for (std::size_t i = 0; i < a.Size(); i += 3) a.Flat()[i] = 0.0f;
   Tensor b = RandomTensor(33, 21, rng);
-  Tensor c_auto({9, 21});
   Tensor c_scalar({9, 21});
-  MatMul(a, b, c_auto);
   {
-    ScopedScalarDispatch scalar;
+    ScopedDispatch scalar(common::simd::Dispatch::kScalar);
     MatMul(a, b, c_scalar);
   }
-  ExpectBitwise(c_auto, c_scalar);
+  for (const auto& width : VectorDispatches()) {
+    SCOPED_TRACE(::testing::Message() << width.bytes << "-byte kernels");
+    ScopedDispatch vec(width.dispatch);
+    Tensor c_vec({9, 21});
+    MatMul(a, b, c_vec);
+    ExpectBitwise(c_vec, c_scalar);
+  }
 }
 
-// The skip is decided per row of a 2-row tile: a row whose alpha·a is ±0
-// skips that k while its neighbour adds. Skipping matters bitwise: 0·±Inf
-// is NaN, and -0.0 + 0·b is +0.0, so C starts at -0.0 and B holds ±Inf in
-// columns of a 16-wide tile, the 4-wide remainder and the scalar tail.
+// The skip is decided per row of a tile: a row whose alpha·a is ±0 skips
+// that k while its neighbours add. Nine rows put a ±0 row in every position
+// of the 4-row tiles (rows 0-3, 4-7) and of the 2-row tiles, and in the
+// 1-row tail (row 8). Skipping matters bitwise: 0·±Inf is NaN, and
+// -0.0 + 0·b is +0.0, so C starts at -0.0 and every B row holds ±Inf
+// inside the 16-wide tile, plus in the 8-wide and 4-wide remainders and the
+// scalar tail: each ±0 in A is a visible skip.
 TEST(MatMulBitwiseZeros, PerRowSkipInsideTile) {
   common::Rng rng(5);
-  Tensor a({5, 3}, {0.0f, 0.0f, 0.0f,      // whole row skipped
+  Tensor a({9, 3}, {0.0f, 0.0f, 0.0f,      // whole row skipped (position 0)
                     1.5f, -2.0f, 0.5f,     // its neighbour never skips
-                    -0.0f, 3.0f, 0.0f,     // skips k=0 and k=2
-                    2.0f, 0.0f, -1.0f,     // skips k=1
+                    -0.0f, 3.0f, 0.0f,     // skips k=0 and k=2 (position 2)
+                    2.0f, 0.0f, -1.0f,     // skips k=1 (position 3)
+                    0.5f, 1.0f, 2.5f,      // never skips
+                    -0.0f, -0.0f, -0.0f,   // whole row skipped (position 1)
+                    1.0f, -0.5f, -0.0f,    // skips k=2 (position 2)
+                    -3.0f, 2.0f, 1.0f,     // never skips
                     0.0f, -0.0f, 0.0f});   // lone last row, all skipped
-  Tensor b = RandomTensor(3, 21, rng);
-  b.At(0, 5) = std::numeric_limits<float>::infinity();
-  b.At(1, 17) = -std::numeric_limits<float>::infinity();
-  b.At(2, 20) = std::numeric_limits<float>::infinity();
-  Tensor c_init({5, 21});
+  Tensor b = RandomTensor(3, 31, rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  b.At(0, 5) = inf;
+  b.At(1, 9) = -inf;
+  b.At(2, 12) = inf;
+  b.At(1, 17) = -inf;
+  b.At(2, 26) = inf;
+  b.At(0, 30) = -inf;
+  Tensor c_init({9, 31});
   c_init.Fill(-0.0f);
   ExpectVariantsBitwise(a, b, c_init, 1.0f, 1.0f);
 }

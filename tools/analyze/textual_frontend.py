@@ -260,6 +260,9 @@ class _Parser:
             return "block", None
         if bt.text in ("if", "for", "while", "switch", "catch"):
             return "block", None
+        if bt.text == "constexpr" and before >= 1 and \
+                toks[before - 1].text == "if":
+            return "block", None  # if constexpr (cond) {
         chain, start = self._walk_name_chain(before)
         # Constructor init list entry: `: member(init)` / `, member(init)`
         # — keep walking back to the real parameter list. A `:` right
