@@ -35,16 +35,6 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Wait-forever receive in bounded slices (RecvFor with timeout 0 is a
-/// try-receive, and an untimed Recv would hang the bench on shutdown).
-std::optional<net::Message> BlockingRecv(net::Fabric& fabric, net::Rank at,
-                                         int tag) {
-  for (;;) {
-    auto msg = fabric.RecvFor(at, tag, 0.05);
-    if (msg.has_value() || fabric.IsClosed(at)) return msg;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // google-benchmark sweep
 
@@ -53,11 +43,8 @@ void BM_FabricPingPong(benchmark::State& state) {
   net::Fabric fabric(2);
   std::thread echo([&] {
     for (;;) {
-      auto msg = fabric.RecvFor(1, 1, 0.05);
-      if (!msg.has_value()) {
-        if (fabric.IsClosed(1)) break;
-        continue;
-      }
+      auto msg = fabric.RecvFor(1, 1, common::kNoDeadline);
+      if (!msg.has_value()) break;  // fabric shut down
       if (msg->meta.size() == 1 && msg->meta[0] < 0) break;
       net::Message reply;
       reply.tag = 2;
@@ -72,7 +59,7 @@ void BM_FabricPingPong(benchmark::State& state) {
     msg.data = fabric.Pool().Acquire(payload.size());
     std::copy(payload.begin(), payload.end(), msg.data.begin());
     fabric.Send(0, 1, std::move(msg));
-    auto reply = BlockingRecv(fabric, 0, 2);
+    auto reply = fabric.RecvFor(0, 2, common::kNoDeadline);
     benchmark::DoNotOptimize(reply->data.data());
     fabric.Pool().Recycle(std::move(reply->data));
   }
@@ -252,11 +239,8 @@ benchutil::BenchRow PingPongBaselineRow() {
   net::Fabric fabric(2);
   std::thread echo([&] {
     for (;;) {
-      auto msg = fabric.RecvFor(1, 1, 0.05);
-      if (!msg.has_value()) {
-        if (fabric.IsClosed(1)) break;
-        continue;
-      }
+      auto msg = fabric.RecvFor(1, 1, common::kNoDeadline);
+      if (!msg.has_value()) break;  // fabric shut down
       if (msg->meta.size() == 1 && msg->meta[0] < 0) break;
       net::Message reply;
       reply.tag = 2;
@@ -271,7 +255,7 @@ benchutil::BenchRow PingPongBaselineRow() {
     msg.data = fabric.Pool().Acquire(kElems);
     std::copy(payload.begin(), payload.end(), msg.data.begin());
     fabric.Send(0, 1, std::move(msg));
-    auto reply = BlockingRecv(fabric, 0, 2);
+    auto reply = fabric.RecvFor(0, 2, common::kNoDeadline);
     fabric.Pool().Recycle(std::move(reply->data));
   };
   for (int i = 0; i < kWarmup; ++i) roundtrip();

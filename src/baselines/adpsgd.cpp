@@ -43,6 +43,10 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
   }
   const bool faulty = config.fault.Enabled();
   const bool lockstep = config.lockstep;
+  // A gossip reply lost to a fault or a crashed peer times out; without
+  // faults the wait ends only with the reply or shutdown.
+  const common::Seconds reply_timeout =
+      config.fault.Deadline(config.fault.collective_timeout_s);
   // Serializes iterations (compute + gossip) into rank order under
   // lockstep; crashed or finished ranks retire from the rotation.
   RoundRobinGate gate(world);
@@ -78,7 +82,7 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
       while (workers_running.load() > 0) {
         // A crashed rank answers no more gossip; requesters discover that
         // through their reply timeout and mark the peer dead.
-        if (faulty && !faults.Alive(w)) break;
+        if (!faults.Alive(w)) break;
         auto req = fabric.RecvFor(w, tags::kAvgReq, 0.002);
         if (!req.has_value()) continue;
         net::Message reply;
@@ -118,8 +122,8 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
       for (std::size_t iter = 0; iter < config.max_rounds && !stop.load();
            ++iter) {
         if (lockstep && !gate.AcquireTurn(w)) break;
-        if (faulty && faults.BeforeIteration(w, workers[w]->Iterations()) ==
-                          IterationFate::kCrash) {
+        if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+            IterationFate::kCrash) {
           faults.Kill(w);
           obs::CountMetric("fault.worker.goodbyes");
           break;  // gate.Retire below releases the rotation
@@ -137,8 +141,7 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
         if (peer >= w) ++peer;
         bool gossiped = false;
         std::optional<net::Message> rep;
-        const bool peer_usable =
-            !faulty || (faults.Alive(peer) && !peer_suspect[peer]);
+        const bool peer_usable = faults.Alive(peer) && !peer_suspect[peer];
         if (peer_usable) {
           if (faulty) {
             // A reply from a timed-out past exchange must not satisfy this
@@ -158,21 +161,11 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
           comm_timer.SetArg("iter", static_cast<double>(iter));
           comm_timer.SetArg("peer", static_cast<double>(peer));
           fabric.Send(w, peer, std::move(req));
-          if (faulty) {
-            rep = fabric.RecvFor(w, tags::kAvgRep,
-                                 config.fault.collective_timeout_s);
-          } else {
-            // Lossless fabric: wait for the reply in bounded slices so the
-            // wait still wakes on shutdown (no untimed receive anywhere).
-            for (;;) {
-              rep = fabric.RecvFor(w, tags::kAvgRep, 0.05);
-              if (rep.has_value() || fabric.IsClosed(w)) break;
-            }
-          }
+          rep = fabric.RecvFor(w, tags::kAvgRep, reply_timeout);
           comm_timer.Stop();
           if (rep.has_value()) {
             gossiped = true;
-          } else if (!faulty || fabric.IsClosed(w)) {
+          } else if (fabric.IsClosed(w)) {
             break;  // fabric shut down mid-exchange
           } else {
             // Timed out: the peer is crashed or the link ate the exchange.
@@ -228,12 +221,12 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
   std::vector<float> consensus(dim, 0.0f);
   std::size_t survivors = 0;
   for (std::size_t w = 0; w < world; ++w) {
-    if (faulty && !faults.Alive(w)) continue;
+    if (!faults.Alive(w)) continue;
     ++survivors;
   }
   RNA_CHECK_MSG(survivors > 0, "every AD-PSGD worker crashed");
   for (std::size_t w = 0; w < world; ++w) {
-    if (faulty && !faults.Alive(w)) continue;
+    if (!faults.Alive(w)) continue;
     tensor::Axpy(1.0f / static_cast<float>(survivors), models[w], consensus);
   }
 

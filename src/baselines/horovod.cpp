@@ -40,14 +40,16 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
   if (auto plan = BuildFaultPlan(config)) {
     fabric.InstallFaultPlan(std::move(plan));
   }
-  const bool faulty = config.fault.Enabled();
   // Under fault injection every collective wait is bounded; a worker whose
   // barrier or ring times out abandons the run (its peers' own deadlines
-  // release them too). Without faults 0.0 = wait forever, but even that path
-  // uses the For-variants, whose slack waits wake on fabric shutdown — no
-  // untimed receive survives in this file.
+  // release them too). Without faults the waits have no deadline and end
+  // only with the message or the fabric's shutdown.
   const common::Seconds hop_timeout =
-      faulty ? config.fault.collective_timeout_s : 0.0;
+      config.fault.Deadline(config.fault.collective_timeout_s);
+  // The whole-barrier deadline must cover world − 1 straggling arrivals at
+  // the leader, not just one hop.
+  const common::Seconds barrier_timeout = config.fault.Deadline(
+      config.fault.collective_timeout_s * static_cast<double>(world));
 
   auto workers = MakeWorkers(config, factory, train_data);
   const std::size_t dim = workers[0]->Dim();
@@ -95,10 +97,8 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
             optimizer.DecayLearningRate(config.lr_decay_factor);
           }
         }
-        if (faulty) {
-          // Hang/flaky sleeps only; kCrash is unreachable here (Validate).
-          (void)faults.BeforeIteration(w, workers[w]->Iterations());
-        }
+        // Hang/flaky sleeps only; kCrash is unreachable here (Validate).
+        (void)faults.BeforeIteration(w, workers[w]->Iterations());
         workers[w]->ComputeGradient(params,
                                     std::span<float>(buffer.data(), dim));
         buffer[dim] = stop.load() ? 1.0f : 0.0f;
@@ -110,10 +110,6 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
           obs::ScopedTimer wait_timer(track, obs::Category::kWait, "barrier",
                                       &wait_comm[w].wait);
           wait_timer.SetArg("round", static_cast<double>(round));
-          // The whole-barrier deadline must cover world − 1 straggling
-          // arrivals at the leader, not just one hop.
-          const common::Seconds barrier_timeout =
-              faulty ? hop_timeout * static_cast<double>(world) : 0.0;
           if (!collectives::BarrierFor(fabric, group, w,
                                        tags::BarrierTag(round),
                                        barrier_timeout)) {

@@ -47,8 +47,9 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
   if (auto plan = BuildFaultPlan(config)) {
     fabric.InstallFaultPlan(std::move(plan));
   }
-  const bool faulty = config.fault.Enabled();
   const bool lockstep = config.lockstep;
+  const common::Seconds ps_timeout =
+      config.fault.Deadline(config.fault.retry_timeout_s);
   // Lockstep serializes the whole iterate (compute + PushPull) into rank
   // order, so deltas reach the server in a replayable sequence.
   RoundRobinGate gate(world);
@@ -87,10 +88,7 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
       const obs::TrackHandle track =
           obs::RegisterTrack(obs::WorkerTrack(w, "ps"));
       ps::ShardedPsClient client(fabric, w, first_server, shards, dim);
-      if (faulty) {
-        client.ConfigureRetry(config.fault.retry_budget,
-                              config.fault.retry_timeout_s);
-      }
+      client.ConfigureRetry(config.fault.retry_budget, ps_timeout);
       std::vector<float> params = init;
       std::vector<float> grad(dim);
       std::vector<float> delta(dim);
@@ -124,27 +122,20 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
             continue;  // pending: pass the turn, keep the rotation intact
           }
           // Join: adopt the server's current model before contributing.
-          bool pulled_ok = true;
-          if (faulty) {
-            if (auto pulled = client.TryPull()) {
-              params = std::move(*pulled);
-            } else {
-              pulled_ok = false;  // budget exhausted: retry next turn
-              obs::CountMetric("fault.ps_sync_skipped");
-            }
-          } else {
-            params = client.Pull();
-          }
-          if (pulled_ok) {
+          if (auto pulled = client.TryPull()) {
+            params = std::move(*pulled);
             joined = true;
             obs::CountMetric("elastic.joins");
             workers_joined.fetch_add(1);
+          } else {
+            // Budget exhausted: retry on the next turn.
+            obs::CountMetric("fault.ps_sync_skipped");
           }
           if (lockstep) gate.ReleaseTurn(w);
           continue;  // first gradient computes against the joined model
         }
-        if (faulty && faults.BeforeIteration(w, workers[w]->Iterations()) ==
-                          IterationFate::kCrash) {
+        if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+            IterationFate::kCrash) {
           faults.Kill(w);
           obs::CountMetric("fault.worker.goodbyes");
           break;  // gate.Retire below releases the rotation
@@ -157,19 +148,15 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
         obs::ScopedTimer comm_timer(track, obs::Category::kComm,
                                     "push_pull", &wait_comm[w].comm);
         comm_timer.SetArg("iter", static_cast<double>(iter));
-        if (faulty) {
-          // At-least-once with bounded retry; a slow (not dropped) request
-          // can double-apply its delta — accepted as gradient noise on a
-          // lossy fabric (see PsClient). An exhausted budget skips the
-          // iterate's sync: the worker keeps its stale model and moves on.
-          if (auto pulled =
-                  client.TryPushPull(delta, ps::ApplyMode::kAddDelta)) {
-            params = std::move(*pulled);
-          } else {
-            obs::CountMetric("fault.ps_sync_skipped");
-          }
+        // At-least-once with bounded retry under faults; a slow (not
+        // dropped) request can double-apply its delta — accepted as
+        // gradient noise on a lossy fabric (see PsClient). An exhausted
+        // budget skips the iterate's sync: the worker keeps its stale
+        // model and moves on.
+        if (auto pulled = client.TryPushPull(delta, ps::ApplyMode::kAddDelta)) {
+          params = std::move(*pulled);
         } else {
-          params = client.PushPull(delta, ps::ApplyMode::kAddDelta);
+          obs::CountMetric("fault.ps_sync_skipped");
         }
         comm_timer.Stop();
         gradients.fetch_add(1);

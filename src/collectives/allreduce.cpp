@@ -73,7 +73,8 @@ PartialResult PartialAllreduceFor(const CollectiveContext& ctx,
   if (!AllreduceFor(ctx, partial, buffer)) {
     // Aborted mid-pass (member crash or shutdown): the partial sums are
     // meaningless — zero the output and tell the caller to skip the step.
-    RNA_CHECK_MSG(options.hop_timeout > 0.0, "fabric shut down mid-collective");
+    RNA_CHECK_MSG(options.hop_timeout != common::kNoDeadline,
+                  "fabric shut down mid-collective");
     std::fill(data.begin(), data.end(), 0.0f);
     fabric.Pool().Recycle(std::move(buffer));
     result.ok = false;

@@ -100,7 +100,7 @@ class Pass {
 /// equal-size buffers and identical options; the pass's tags live in
 /// [options.tag_base, options.tag_base + TreeTagSpan(world)).
 ///
-/// Returns false when a hop timed out (options.hop_timeout > 0) or the
+/// Returns false when a hop timed out (a finite options.hop_timeout) or the
 /// fabric shut down — i.e. a group member crashed mid-collective — leaving
 /// `data` in an undefined partial state; the caller must abort the round,
 /// discard the buffer, and purge the tag range. This is what keeps a
@@ -127,7 +127,7 @@ struct PartialResult {
 /// average — or all zeros when nobody contributed. The contributor count
 /// rides as one bit-exact tail element appended to the payload, so it
 /// survives every compression policy. options.exact_tail is overridden
-/// accordingly; options.hop_timeout > 0 bounds each hop receive, and on
+/// accordingly; a finite options.hop_timeout bounds each hop receive, and on
 /// timeout the result has ok == false (see AllreduceFor).
 PartialResult PartialAllreduceFor(const CollectiveContext& ctx,
                                  const CollectiveOptions& options,

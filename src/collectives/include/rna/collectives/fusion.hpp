@@ -66,12 +66,13 @@ void FusedAllreduce(const CollectiveContext& ctx,
                     std::span<float* const> tensors, const FusionPlan& plan);
 
 /// Timed variant: every hop receive of every bucket's pass is bounded by
-/// options.hop_timeout (0 or negative = wait forever), routed through the
-/// same pass deadline machinery as AllreduceFor. Returns false when a hop
-/// timed out or the fabric shut down; the tensors are then in an
-/// unspecified partial state (completed buckets reduced, the failed and
-/// later buckets not) and the caller must discard the round and purge the
-/// call's tag range before those tags are reused.
+/// options.hop_timeout (common::kNoDeadline waits until delivery or
+/// shutdown), routed through the same pass deadline machinery as
+/// AllreduceFor. Returns false when a hop timed out or the fabric shut
+/// down; the tensors are then in an unspecified partial state (completed
+/// buckets reduced, the failed and later buckets not) and the caller must
+/// discard the round and purge the call's tag range before those tags are
+/// reused.
 bool FusedAllreduceFor(const CollectiveContext& ctx,
                        const CollectiveOptions& options,
                        std::span<const TensorSpec> specs,

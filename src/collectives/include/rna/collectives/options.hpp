@@ -59,9 +59,11 @@ struct CollectiveOptions {
   /// the width). Must not collide with other traffic in flight.
   int tag_base = 0;
 
-  /// > 0 bounds every blocking receive of the pass; 0 or negative waits
-  /// until the message arrives or the fabric shuts down.
-  common::Seconds hop_timeout = 0.0;
+  /// Deadline of every hop receive of the pass, in the project's one
+  /// convention (common::kNoDeadline): > 0 bounds each receive, 0 polls
+  /// once, and the default kNoDeadline waits until the message arrives or
+  /// the fabric shuts down.
+  common::Seconds hop_timeout = common::kNoDeadline;
 
   /// Group index of the controller-identified persistent straggler, or
   /// kNoStraggler. Only Schedule::kStragglar consumes it (the straggler is

@@ -26,15 +26,6 @@
 
 namespace rna::collectives {
 
-namespace detail {
-/// Receive with the collective deadline contract: `timeout` > 0 is a plain
-/// timed receive; 0 or negative loops bounded RecvFor slices with an
-/// IsClosed check between them, so even "untimed" collectives never sit in
-/// an unbounded blocking receive.
-std::optional<net::Message> RecvHop(net::Fabric& fabric, Rank self, int tag,
-                                    common::Seconds timeout);
-}  // namespace detail
-
 /// One ring allreduce pass as a resumable hop state machine: 2(N−1) hops,
 /// each a LaunchHop() (send this step's chunk to the right neighbor, never
 /// blocks) followed by a CompleteHop() (receive, fold, advance). Driving it
@@ -113,7 +104,8 @@ void Broadcast(net::Fabric& fabric, const Group& group, std::size_t my_index,
                std::size_t root_index, std::span<float> data, int tag_base);
 
 /// Timed broadcast receive (the root never blocks): false when the root's
-/// message did not arrive within `timeout` (0 or negative = wait forever).
+/// message did not arrive within `timeout` (common::kNoDeadline waits
+/// until it arrives or the fabric shuts down).
 bool BroadcastFor(net::Fabric& fabric, const Group& group,
                   std::size_t my_index, std::size_t root_index,
                   std::span<float> data, int tag_base,
@@ -124,13 +116,12 @@ bool BroadcastFor(net::Fabric& fabric, const Group& group,
 void Barrier(net::Fabric& fabric, const Group& group, std::size_t my_index,
              int tag_base);
 
-/// Timed barrier: `timeout` > 0 bounds the *whole* barrier (the leader's
-/// gather and each follower's release wait share one deadline); 0 or
-/// negative waits forever. Returns false when the deadline passed or the
-/// fabric shut down — some members may then be left waiting on tag_base/
-/// tag_base+1 traffic that never comes, so they must run with a timeout
-/// too (that is the caller's migration contract: no untimed barrier on any
-/// fault-exposed path).
+/// Timed barrier: `timeout` bounds the *whole* barrier (the leader's
+/// gather and each follower's release wait share one deadline);
+/// common::kNoDeadline waits until every member arrives. Returns false
+/// when the deadline passed or the fabric shut down — some members may
+/// then be left waiting on tag_base/tag_base+1 traffic that never comes, so
+/// on a fault-exposed path every member must pass a finite timeout.
 bool BarrierFor(net::Fabric& fabric, const Group& group, std::size_t my_index,
                 int tag_base, common::Seconds timeout);
 

@@ -7,28 +7,6 @@
 
 namespace rna::collectives {
 
-namespace {
-
-/// Granularity of the wait-forever receive loop: bounded RecvFor slices
-/// with an IsClosed check between them, so even "untimed" collectives never
-/// sit in an unbounded blocking receive (the untimed-recv deadlock class).
-constexpr common::Seconds kForeverSlice = 0.05;
-
-}  // namespace
-
-namespace detail {
-
-std::optional<net::Message> RecvHop(net::Fabric& fabric, Rank self, int tag,
-                                    common::Seconds timeout) {
-  if (timeout > 0.0) return fabric.RecvFor(self, tag, timeout);
-  for (;;) {
-    auto msg = fabric.RecvFor(self, tag, kForeverSlice);
-    if (msg.has_value() || fabric.IsClosed(self)) return msg;
-  }
-}
-
-}  // namespace detail
-
 std::size_t Group::IndexOf(Rank rank) const {
   const auto it = std::find(members.begin(), members.end(), rank);
   RNA_CHECK_MSG(it != members.end(), "rank is not a member of the group");
@@ -179,7 +157,7 @@ bool RingPass::CompleteHop() {
   if (failed_) return false;
   if (Done()) return true;
   LaunchHop();
-  auto in = detail::RecvHop(*fabric_, self_, TagOf(step_), hop_timeout_);
+  auto in = fabric_->RecvFor(self_, TagOf(step_), hop_timeout_);
   if (!in.has_value()) {
     failed_ = true;
     return false;
@@ -224,7 +202,7 @@ bool BroadcastFor(net::Fabric& fabric, const Group& group,
       fabric.Send(self, group.At(i), std::move(msg));
     }
   } else {
-    auto in = detail::RecvHop(fabric, self, tag_base, timeout);
+    auto in = fabric.RecvFor(self, tag_base, timeout);
     if (!in.has_value()) return false;
     RNA_CHECK_MSG(in->data.size() == data.size(), "broadcast size mismatch");
     std::copy(in->data.begin(), in->data.end(), data.begin());
@@ -236,7 +214,7 @@ bool BroadcastFor(net::Fabric& fabric, const Group& group,
 void Broadcast(net::Fabric& fabric, const Group& group, std::size_t my_index,
                std::size_t root_index, std::span<float> data, int tag_base) {
   RNA_CHECK_MSG(BroadcastFor(fabric, group, my_index, root_index, data,
-                             tag_base, /*timeout=*/0.0),
+                             tag_base, common::kNoDeadline),
                 "fabric shut down mid-broadcast");
 }
 
@@ -248,15 +226,11 @@ bool BarrierFor(net::Fabric& fabric, const Group& group, std::size_t my_index,
   const Rank self = group.At(my_index);
   const Rank leader = group.At(0);
   // One deadline covers the whole barrier, so a leader stuck waiting for a
-  // dead member cannot stretch the wait to (world − 1) × timeout.
-  const auto deadline =
-      common::SteadyClock::now() + common::FromSeconds(timeout);
+  // dead member cannot stretch the wait to (world − 1) × timeout. Once it
+  // has passed, each remaining receive is a single poll.
+  const common::Stopwatch watch;
   auto recv_step = [&](int tag) {
-    if (timeout <= 0.0) return detail::RecvHop(fabric, self, tag, 0.0);
-    const common::Seconds left =
-        common::ToSeconds(deadline - common::SteadyClock::now());
-    if (left <= 0.0) return std::optional<net::Message>{};
-    return fabric.RecvFor(self, tag, left);
+    return fabric.RecvFor(self, tag, timeout - watch.Elapsed());
   };
   if (my_index == 0) {
     for (std::size_t i = 1; i < world; ++i) {
@@ -278,7 +252,7 @@ bool BarrierFor(net::Fabric& fabric, const Group& group, std::size_t my_index,
 void Barrier(net::Fabric& fabric, const Group& group, std::size_t my_index,
              int tag_base) {
   RNA_CHECK_MSG(BarrierFor(fabric, group, my_index, tag_base,
-                           /*timeout=*/0.0),
+                           common::kNoDeadline),
                 "fabric shut down mid-barrier");
 }
 

@@ -161,9 +161,8 @@ bool TreePass::CompleteHop() {
   if (Done()) return true;
   if (stage_ == Stage::kReduce) {
     const std::size_t child = pos_ + reduce_mask_;
-    auto in = detail::RecvHop(*fabric_, self_,
-                              tag_base_ + static_cast<int>(child),
-                              hop_timeout_);
+    auto in = fabric_->RecvFor(self_, tag_base_ + static_cast<int>(child),
+                               hop_timeout_);
     if (!in.has_value()) {
       failed_ = true;
       return false;
@@ -176,9 +175,9 @@ bool TreePass::CompleteHop() {
     return true;
   }
   RNA_CHECK_MSG(stage_ == Stage::kBcastRecv, "tree pass out of sequence");
-  auto in = detail::RecvHop(*fabric_, self_,
-                            tag_base_ + static_cast<int>(world_ + pos_),
-                            hop_timeout_);
+  auto in = fabric_->RecvFor(self_,
+                             tag_base_ + static_cast<int>(world_ + pos_),
+                             hop_timeout_);
   if (!in.has_value()) {
     failed_ = true;
     return false;

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <ctime>
+#include <limits>
 #include <thread>
 
 namespace rna::common {
@@ -15,6 +16,13 @@ using SteadyClock = std::chrono::steady_clock;
 /// Seconds as a double; the unit used throughout the simulator and the
 /// workload models.
 using Seconds = double;
+
+/// The deadline convention of every timed wait in the project: a finite
+/// timeout > 0 bounds the wait, 0 (or negative) polls once without
+/// blocking, and kNoDeadline waits until the event or shutdown. It is +∞,
+/// so remaining-time arithmetic (kNoDeadline − elapsed) stays kNoDeadline;
+/// never pass it to FromSeconds, whose conversion would overflow.
+inline constexpr Seconds kNoDeadline = std::numeric_limits<Seconds>::infinity();
 
 inline Seconds ToSeconds(SteadyClock::duration d) {
   return std::chrono::duration<double>(d).count();

@@ -113,7 +113,9 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
     fabric.InstallFaultPlan(std::move(plan));
   }
   const common::Seconds ring_timeout =
-      faulty ? config.fault.collective_timeout_s : 0.0;
+      config.fault.Deadline(config.fault.collective_timeout_s);
+  const common::Seconds ps_timeout =
+      config.fault.Deadline(config.fault.retry_timeout_s);
   // Serializes the group leaders' PS syncs into (sync round, group id)
   // order under lockstep; unused otherwise (the async free-for-all *is* the
   // paper's design).
@@ -135,9 +137,8 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
       if (tree.nodes[node].parent != node) {
         server->ConfigureParent(
             ps_rank_of(tree.nodes[node].parent, s),
-            config.ps_parent_sync_every,
-            faulty ? config.fault.retry_budget : 1,
-            config.fault.retry_timeout_s);
+            config.ps_parent_sync_every, config.fault.retry_budget,
+            ps_timeout);
       }
       server->Start();
       servers.push_back(std::move(server));
@@ -152,10 +153,7 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
   for (std::size_t w = 0; w < world; ++w) {
     ps_clients.emplace_back(fabric, w, ps_rank_of(tree.leaf_of[group_of[w]], 0),
                             shards, dim);
-    if (faulty) {
-      ps_clients.back().ConfigureRetry(config.fault.retry_budget,
-                                       config.fault.retry_timeout_s);
-    }
+    ps_clients.back().ConfigureRetry(config.fault.retry_budget, ps_timeout);
   }
 
   // Asynchronous cross-group averaging through the PS tree (§4 phases 2–3),
@@ -180,9 +178,7 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
       if (lockstep) {
         // Deterministic PS ordering; under faults the wait is bounded so a
         // hung group ahead in the rotation cannot stall this one forever.
-        turn = faulty ? ps_gate.AcquireTurnFor(
-                            m.group, config.fault.collective_timeout_s)
-                      : ps_gate.AcquireTurn(m.group);
+        turn = ps_gate.AcquireTurnFor(m.group, ring_timeout);
       }
       if (turn) {
         if (auto avg = ps_clients[m.rank].TryPushPull(

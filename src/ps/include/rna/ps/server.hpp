@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "rna/common/clock.hpp"
 #include "rna/common/mutex.hpp"
 #include "rna/common/thread_annotations.hpp"
 #include "rna/net/fabric.hpp"
@@ -59,11 +60,12 @@ class ParameterServer {
   /// same-shard server at `parent` (kAverage) and adopts the merged
   /// result *before* replying, so a client always reads state that has
   /// been folded toward the root. Call before Start(). `retry_budget` /
-  /// `retry_timeout_s` follow PsClient::ConfigureRetry semantics; on an
+  /// `retry_timeout_s` follow PsClient::ConfigureRetry semantics (the
+  /// default waits for the parent until it replies or shuts down); on an
   /// exhausted budget the sync is skipped (counted, state kept local).
   void ConfigureParent(Rank parent, std::size_t sync_every,
                        std::size_t retry_budget = 1,
-                       double retry_timeout_s = 0.05);
+                       double retry_timeout_s = common::kNoDeadline);
 
   Rank ServerRank() const { return rank_; }
   std::uint64_t RequestsServed() const { return requests_served_.load(); }
@@ -89,17 +91,19 @@ class ParameterServer {
   Rank parent_ = 0;
   std::size_t parent_sync_every_ = 1;
   std::size_t parent_retry_budget_ = 1;
-  double parent_retry_timeout_s_ = 0.05;
+  double parent_retry_timeout_s_ = common::kNoDeadline;
   std::size_t applied_since_parent_sync_ = 0;
 };
 
 /// Client handle bound to one fabric endpoint.
 ///
-/// Fault tolerance: by default a reply-bearing call waits indefinitely (in
-/// bounded slices, so every fabric wait has a deadline) — the legacy
-/// lossless-fabric behavior. ConfigureRetry(budget >= 2, t) switches to
-/// bounded retry with exponential backoff: the request is re-sent after t,
-/// 2t, 4t, … seconds, `budget` attempts total, and the Try* calls return
+/// Fault tolerance: the reply wait follows the project's deadline
+/// convention (common::kNoDeadline). By default it has no deadline: a
+/// reply-bearing call waits until the reply arrives or the fabric shuts
+/// down — the lossless-fabric behavior. ConfigureRetry(budget, t) with a
+/// finite t switches to bounded retry with exponential backoff: the
+/// request is re-sent after t, 2t, 4t, … seconds, `budget` attempts total
+/// (budget 1 is one bounded attempt), and the Try* calls return
 /// std::nullopt when the budget is exhausted (the non-Try wrappers treat
 /// that as fatal). Retries are at-least-once: a slow (rather than dropped)
 /// request can be applied twice, which ApplyMode::kAverage absorbs (it
@@ -110,8 +114,10 @@ class PsClient {
   PsClient(net::Fabric& fabric, Rank self, Rank server)
       : fabric_(&fabric), self_(self), server_(server) {}
 
-  /// Enables bounded retry (see class comment). budget is the total number
-  /// of attempts; budget <= 1 keeps the wait-forever behavior.
+  /// Sets the retry policy (see class comment): `budget` total attempts
+  /// (0 counts as 1), the first waiting `first_timeout_s`. A
+  /// common::kNoDeadline timeout restores the wait-until-reply default,
+  /// whatever the budget.
   void ConfigureRetry(std::size_t budget, double first_timeout_s);
 
   /// Fold `values` into the server state; no reply payload.
@@ -147,7 +153,7 @@ class PsClient {
   Rank self_;
   Rank server_;
   std::size_t retry_budget_ = 1;
-  double retry_timeout_s_ = 0.05;
+  double retry_timeout_s_ = common::kNoDeadline;
   std::int64_t last_version_ = 0;
 };
 

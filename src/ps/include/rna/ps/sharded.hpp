@@ -70,7 +70,7 @@ class ShardedPsClient {
   std::size_t dim_;
   PsClient single_;  ///< the shards == 1 fast path
   std::size_t retry_budget_ = 1;
-  double retry_timeout_s_ = 0.05;
+  double retry_timeout_s_ = common::kNoDeadline;
 };
 
 }  // namespace rna::ps

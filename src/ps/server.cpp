@@ -60,9 +60,8 @@ void ParameterServer::ServeLoop() {
   const obs::TrackHandle track =
       obs::RegisterTrack("ps" + std::to_string(rank_));
   for (;;) {
-    // Bounded waits only (the chaos lint gate bans untimed receives in
-    // src/ps): wake periodically to notice stop/shutdown even if the
-    // self-addressed stop poke is swallowed by an injected drop.
+    // Wake periodically to notice stop/shutdown even if the self-addressed
+    // stop poke is swallowed by an injected drop.
     auto req = fabric_.RecvFor(rank_, PsTags::kRequest, 0.05);
     if (!req.has_value()) {
       if (stop_.load() || fabric_.IsClosed(rank_)) return;
@@ -161,7 +160,7 @@ void ParameterServer::SyncWithParent() {
 
 void PsClient::ConfigureRetry(std::size_t budget, double first_timeout_s) {
   retry_budget_ = budget == 0 ? 1 : budget;
-  if (first_timeout_s > 0.0) retry_timeout_s_ = first_timeout_s;
+  retry_timeout_s_ = first_timeout_s;
 }
 
 std::optional<std::vector<float>> PsClient::TryCall(
@@ -190,16 +189,8 @@ std::optional<std::vector<float>> PsClient::TryCall(
     fabric_->Send(self_, server_, std::move(req));
     if (!want_reply) return std::vector<float>{};
 
-    if (retry_budget_ <= 1) {
-      // Legacy lossless-fabric mode: wait until the reply or shutdown, in
-      // bounded slices so this thread always holds a deadline.
-      for (;;) {
-        auto reply = fabric_->RecvFor(self_, PsTags::kReply, 0.05);
-        if (reply.has_value()) return parse(*reply);
-        if (fabric_->IsClosed(self_)) return std::nullopt;
-      }
-    }
-    // Exponential backoff: t, 2t, 4t, ... per attempt.
+    // Exponential backoff: t, 2t, 4t, ... per attempt. Under kNoDeadline
+    // the first attempt waits until the reply or shutdown.
     const double timeout =
         retry_timeout_s_ * static_cast<double>(std::uint64_t{1} << attempt);
     auto reply = fabric_->RecvFor(self_, PsTags::kReply, timeout);

@@ -24,7 +24,7 @@ void ShardedPsClient::ConfigureRetry(std::size_t budget,
                                      double first_timeout_s) {
   single_.ConfigureRetry(budget, first_timeout_s);
   retry_budget_ = budget == 0 ? 1 : budget;
-  if (first_timeout_s > 0.0) retry_timeout_s_ = first_timeout_s;
+  retry_timeout_s_ = first_timeout_s;
 }
 
 std::optional<std::vector<float>> ShardedPsClient::TryCall(
@@ -92,22 +92,9 @@ std::optional<std::vector<float>> ShardedPsClient::TryCall(
     }
     if (!want_reply) return std::vector<float>{};
 
-    if (retry_budget_ <= 1) {
-      // Legacy lossless-fabric mode: wait until every shard answered or
-      // shutdown, in bounded slices so this thread always holds a
-      // deadline.
-      while (got < shards_) {
-        auto reply = fabric_->RecvFor(self_, PsTags::kReply, 0.05);
-        if (reply.has_value()) {
-          accept(*reply);
-        } else if (fabric_->IsClosed(self_)) {
-          return std::nullopt;
-        }
-      }
-      return out;
-    }
     // Exponential backoff: t, 2t, 4t, ... per attempt; each shard reply
-    // renews the window (the stripe is making progress).
+    // renews the window (the stripe is making progress). Under kNoDeadline
+    // the first attempt waits until every shard answered or shutdown.
     const double timeout =
         retry_timeout_s_ * static_cast<double>(std::uint64_t{1} << attempt);
     while (got < shards_) {

@@ -136,6 +136,7 @@ bool RoundRobinGate::AcquireTurn(std::size_t rank) {
 
 bool RoundRobinGate::AcquireTurnFor(std::size_t rank,
                                     common::Seconds timeout) {
+  if (timeout == common::kNoDeadline) return AcquireTurn(rank);
   const auto deadline =
       common::SteadyClock::now() + common::FromSeconds(timeout);
   common::MutexLock lock(mu_);

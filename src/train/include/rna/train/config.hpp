@@ -11,6 +11,7 @@
 
 #include "rna/collectives/compression.hpp"
 #include "rna/collectives/schedule.hpp"
+#include "rna/common/clock.hpp"
 #include "rna/data/dataset.hpp"
 #include "rna/nn/network.hpp"
 #include "rna/nn/optimizer.hpp"
@@ -154,6 +155,13 @@ struct FaultConfig {
   bool Enabled() const {
     return drop_prob > 0.0 || dup_prob > 0.0 || delay_prob > 0.0 ||
            ps_drop_prob > 0.0 || !workers.empty();
+  }
+  /// The deadline of a wait that only a fault can leave unanswered:
+  /// `timeout` when faults are on, common::kNoDeadline otherwise. Every
+  /// protocol takes its receive, collective and PS deadlines from here, so
+  /// the fault-free run uses the same receive calls as the faulty one.
+  common::Seconds Deadline(common::Seconds timeout) const {
+    return Enabled() ? timeout : common::kNoDeadline;
   }
   bool AnyCrash() const {
     for (const auto& w : workers) {

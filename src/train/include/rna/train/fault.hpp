@@ -88,8 +88,9 @@ class RoundRobinGate {
   bool AcquireTurn(std::size_t rank);
 
   /// Timed variant: additionally returns false when the turn did not come
-  /// within `timeout` seconds (the caller should skip its slot, not stop).
-  /// Only a true return must be paired with ReleaseTurn.
+  /// within `timeout` seconds (the caller should skip its slot, not stop);
+  /// common::kNoDeadline is AcquireTurn. Only a true return must be paired
+  /// with ReleaseTurn.
   bool AcquireTurnFor(std::size_t rank, common::Seconds timeout);
 
   void ReleaseTurn(std::size_t rank);

@@ -135,15 +135,19 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
   FaultRuntime faults(config);
   const bool faulty = config.fault.Enabled();
   const bool lockstep = config.lockstep;
-  // A mid-ring crash shows up as a hop timeout; survivors abort the round
-  // instead of deadlocking in Recv. Zero keeps the untimed legacy receive
-  // on the zero-fault path.
+  // Every wait below is one receive whose deadline comes from
+  // FaultConfig::Deadline: without faults each is kNoDeadline, so only the
+  // awaited message or Shutdown() ends it. A mid-ring crash shows up as a
+  // hop timeout; survivors abort the round instead of deadlocking.
   const common::Seconds ring_timeout =
-      faulty ? config.fault.collective_timeout_s : 0.0;
+      config.fault.Deadline(config.fault.collective_timeout_s);
   // Reports can lag a full aborted collective, so the controller's report
   // deadline must exceed the ring's hop timeout.
-  const common::Seconds report_budget =
-      config.fault.collective_timeout_s + config.fault.probe_timeout_s;
+  const common::Seconds report_budget = config.fault.Deadline(
+      config.fault.collective_timeout_s + config.fault.probe_timeout_s);
+  // Slice of the worker threads' token waits: under faults they wake to
+  // notice a kill or the session's end between messages.
+  const common::Seconds token_poll = config.fault.Deadline(0.05);
 
   const std::size_t dim = workers[0]->Dim();
   std::vector<std::unique_ptr<GradientStage>> stages;
@@ -224,22 +228,18 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
         {
           obs::ScopedTimer wait_timer(track, obs::Category::kWait,
                                       "wait_trigger", &comm_times[w].wait);
-          if (faulty) {
-            // Bounded waits: a dropped exit-Go must not strand this thread.
-            while (!(go = fabric.RecvFor(w, tags::kGo, 0.05)).has_value()) {
-              if (global_stop.load() || fabric.IsClosed(w) ||
-                  !faults.Alive(w)) {
-                break;
-              }
+          // A dropped exit-Go must not strand this thread: under faults
+          // the session's end or a kill abandons the wait.
+          while (!(go = fabric.RecvFor(w, tags::kGo, token_poll))
+                      .has_value()) {
+            if (fabric.IsClosed(w) || (faulty && global_stop.load()) ||
+                !faults.Alive(w)) {
+              break;
             }
-          } else {
-            // Lossless fast path: without fault injection nothing can drop
-            // the Go, and Shutdown() wakes the wait.
-            go = fabric.Recv(w, tags::kGo);  // analyze:allow(timed-recv)
           }
         }
         if (!go.has_value()) {
-          died = faulty && !faults.Alive(w);  // killed from the compute side
+          died = !faults.Alive(w);  // killed from the compute side
           break;
         }
         if (go->meta.empty() || go->meta[0] < 0) {
@@ -265,7 +265,7 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
           died = true;
           break;
         }
-        if (faulty && !faults.Alive(w)) {
+        if (!faults.Alive(w)) {
           died = true;  // compute-side crash already announced the goodbye
           break;
         }
@@ -290,14 +290,8 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
           // LR bit-cast into the meta) and acknowledge with a synced
           // report, so the controller activates this rank next round with
           // a state bitwise-identical to every member's.
-          std::optional<net::Message> state;
-          if (faulty) {
-            state = fabric.RecvFor(w, tags::JoinStateTag(round),
-                                   config.fault.collective_timeout_s);
-          } else {
-            state = fabric.Recv(  // analyze:allow(timed-recv)
-                w, tags::JoinStateTag(round));
-          }
+          std::optional<net::Message> state =
+              fabric.RecvFor(w, tags::JoinStateTag(round), ring_timeout);
           bool synced = false;
           if (state.has_value() && state->data.size() == 2 * dim &&
               state->meta.size() > 1) {
@@ -480,7 +474,7 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
         // crash) so the controller can account for every token.
         for (;;) {
           std::optional<net::Message> token;
-          while (!(token = fabric.RecvFor(w, tags::kStep, 0.05))
+          while (!(token = fabric.RecvFor(w, tags::kStep, token_poll))
                       .has_value()) {
             // Lossless lockstep: global_stop only means *some* group
             // finished its rounds; this group's controller still owes an
@@ -493,8 +487,8 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
           }
           if (token->meta.empty() || token->meta[0] < 0) return;
           if (!faults.Alive(w)) return;
-          if (faulty && faults.BeforeIteration(w, workers[w]->Iterations()) ==
-                            IterationFate::kCrash) {
+          if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+              IterationFate::kCrash) {
             crash_now(token->meta[0]);
             return;
           }
@@ -510,13 +504,11 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
       // Free-running: the paper's wall-clock-raced schedule. See the
       // engine-wide comment on board symmetry in stage.hpp.
       while (!global_stop.load(std::memory_order_relaxed)) {
-        if (faulty) {
-          if (!faults.Alive(w)) return;
-          if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
-              IterationFate::kCrash) {
-            crash_now(-1);
-            return;
-          }
+        if (!faults.Alive(w)) return;
+        if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+            IterationFate::kCrash) {
+          crash_now(-1);
+          return;
         }
         seen = board.ReadIfNewer(seen, &params);
         workers[w]->ComputeGradient(params, grad);
@@ -662,19 +654,12 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
                                       "step_wait");
           step_timer.SetArg("round", static_cast<double>(round));
           while (got < members.size() && !session_over()) {
-            std::optional<net::Message> msg;
-            if (faulty) {
-              const common::Seconds left =
-                  report_budget - step_timer.Elapsed();
-              if (left <= 0.0) break;
-              msg = fabric.RecvAnyFor(self, ack_tags, left);
-              if (!msg.has_value()) break;  // deadline or shutdown
-            } else {
-              // Lossless fast path: every live member acks its step
-              // token, and Shutdown() wakes the wait.
-              msg = fabric.RecvAny(  // analyze:allow(timed-recv)
-                  self, ack_tags);
-              if (!msg.has_value()) return;  // fabric shut down
+            const common::Seconds left = report_budget - step_timer.Elapsed();
+            if (left <= 0.0) break;
+            auto msg = fabric.RecvAnyFor(self, ack_tags, left);
+            if (!msg.has_value()) {
+              if (left == common::kNoDeadline) return;  // fabric shut down
+              break;  // deadline or shutdown
             }
             const net::Rank src = msg->src;
             const std::size_t slot = slot_of[src];
@@ -808,18 +793,12 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
         obs::ScopedTimer report_timer(track, obs::Category::kWait,
                                       "report_wait");
         while (reports < expected) {
-          std::optional<net::Message> msg;
-          if (faulty) {
-            const common::Seconds left =
-                report_budget - report_timer.Elapsed();
-            if (left <= 0.0) break;
-            msg = fabric.RecvAnyFor(self, want, left);
-            if (!msg.has_value()) break;  // deadline or shutdown
-          } else {
-            // Lossless fast path: every live member reports each round,
-            // and Shutdown() wakes the wait.
-            msg = fabric.RecvAny(self, want);  // analyze:allow(timed-recv)
-            if (!msg.has_value()) return;  // fabric shut down
+          const common::Seconds left = report_budget - report_timer.Elapsed();
+          if (left <= 0.0) break;
+          auto msg = fabric.RecvAnyFor(self, want, left);
+          if (!msg.has_value()) {
+            if (left == common::kNoDeadline) return;  // fabric shut down
+            break;  // deadline or shutdown
           }
           const net::Rank src = msg->src;
           const std::size_t slot = slot_of[src];

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -105,19 +106,25 @@ TEST(Chaos, CrashBetweenRoundsContributorOracle) {
 // sent the request once and blocked in an untimed Recv for the reply: the
 // first dropped message (either direction) hung that worker forever. The
 // at-least-once retry loop (exponential backoff, bounded budget) rides
-// through a 10% loss rate essentially always.
+// through a 10% loss rate essentially always. A budget of 1 is one bounded
+// attempt, not a wait forever: the clients once read it as the lossless
+// mode, and the first dropped reply hung the run.
 TEST(Chaos, DropTenPercentOfPsTraffic) {
   constexpr std::size_t kWorld = 4;
-  Scenario s = SmallScenario(13);
-  TrainerConfig c = ChaosConfig(Protocol::kCentralizedPs, kWorld, 12);
-  c.fault.ps_drop_prob = 0.10;
+  for (const std::size_t budget : {std::size_t{5}, std::size_t{1}}) {
+    SCOPED_TRACE("retry_budget=" + std::to_string(budget));
+    Scenario s = SmallScenario(13);
+    TrainerConfig c = ChaosConfig(Protocol::kCentralizedPs, kWorld, 12);
+    c.fault.ps_drop_prob = 0.10;
+    c.fault.retry_budget = budget;
 
-  const TrainResult r = core::RunTraining(c, s.factory, s.train, s.val);
+    const TrainResult r = core::RunTraining(c, s.factory, s.train, s.val);
 
-  EXPECT_EQ(r.live_workers, kWorld);
-  EXPECT_GT(r.gradients_applied, 0u);
-  EXPECT_LT(r.final_loss, kChanceLoss);
-  for (float p : r.final_params) ASSERT_TRUE(std::isfinite(p));
+    EXPECT_EQ(r.live_workers, kWorld);
+    EXPECT_GT(r.gradients_applied, 0u);
+    EXPECT_LT(r.final_loss, kChanceLoss);
+    for (float p : r.final_params) ASSERT_TRUE(std::isfinite(p));
+  }
 }
 
 // Hang the worker the controller just probed (the would-be initiator of the

@@ -1,6 +1,6 @@
-// Tests for the in-process fabric: tag-scoped delivery, blocking and timed
-// receives, multi-tag receives, shutdown semantics, traffic accounting, and
-// the latency-injection timer path.
+// Tests for the in-process fabric: tag-scoped delivery, timed and
+// undeadlined (common::kNoDeadline) receives, multi-tag receives, shutdown
+// semantics, traffic accounting, and the latency-injection timer path.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@
 
 namespace rna::net {
 namespace {
+
+using common::kNoDeadline;
 
 Message Make(int tag, std::vector<float> data = {},
              std::vector<std::int64_t> meta = {}) {
@@ -24,7 +26,7 @@ Message Make(int tag, std::vector<float> data = {},
 TEST(Fabric, PointToPointDelivery) {
   Fabric fabric(2);
   fabric.Send(0, 1, Make(5, {1.0f, 2.0f}, {42}));
-  auto msg = fabric.Recv(1, 5);
+  auto msg = fabric.RecvFor(1, 5, kNoDeadline);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->src, 0u);
   EXPECT_EQ(msg->tag, 5);
@@ -38,19 +40,19 @@ TEST(Fabric, TagScopedFifo) {
   fabric.Send(0, 1, Make(2, {2.0f}));
   fabric.Send(0, 1, Make(1, {3.0f}));
   // Tag 2 first despite arriving second; tag-1 messages keep FIFO order.
-  EXPECT_EQ(fabric.Recv(1, 2)->data[0], 2.0f);
-  EXPECT_EQ(fabric.Recv(1, 1)->data[0], 1.0f);
-  EXPECT_EQ(fabric.Recv(1, 1)->data[0], 3.0f);
+  EXPECT_EQ(fabric.RecvFor(1, 2, kNoDeadline)->data[0], 2.0f);
+  EXPECT_EQ(fabric.RecvFor(1, 1, kNoDeadline)->data[0], 1.0f);
+  EXPECT_EQ(fabric.RecvFor(1, 1, kNoDeadline)->data[0], 3.0f);
 }
 
-TEST(Fabric, RecvAnyPicksEarliestMatching) {
+TEST(Fabric, RecvAnyForPicksEarliestMatching) {
   Fabric fabric(2);
   fabric.Send(0, 1, Make(7, {7.0f}));
   fabric.Send(0, 1, Make(8, {8.0f}));
   const int tags[] = {8, 7};
   // The queue is scanned front-first, so the earlier message wins even
   // though its tag is listed second.
-  auto msg = fabric.RecvAny(1, tags);
+  auto msg = fabric.RecvAnyFor(1, tags, kNoDeadline);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->tag, 7);
 }
@@ -85,7 +87,7 @@ TEST(Fabric, RecvForReturnsEarlyOnArrival) {
 TEST(Fabric, BlockingRecvCrossThread) {
   Fabric fabric(2);
   std::thread receiver([&] {
-    auto msg = fabric.Recv(1, 4);
+    auto msg = fabric.RecvFor(1, 4, kNoDeadline);
     ASSERT_TRUE(msg.has_value());
     EXPECT_EQ(msg->data[0], 1.5f);
   });
@@ -96,11 +98,40 @@ TEST(Fabric, BlockingRecvCrossThread) {
 TEST(Fabric, ShutdownWakesBlockedReceivers) {
   Fabric fabric(1);
   std::thread receiver([&] {
-    EXPECT_FALSE(fabric.Recv(0, 1).has_value());
+    EXPECT_FALSE(fabric.RecvFor(0, 1, kNoDeadline).has_value());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   fabric.Shutdown();
   receiver.join();
+}
+
+TEST(Fabric, NoDeadlineRecvAnyForWakesOnSendAndShutdown) {
+  // The one receive path's wait-forever mode: no deadline ever fires, but a
+  // later Send or a Shutdown() from another thread ends the wait, and a
+  // zero timeout stays a single non-blocking poll.
+  Fabric fabric(2);
+  const int tags[] = {1, 2};
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    fabric.Send(0, 1, Make(2, {2.5f}));
+  });
+  auto msg = fabric.RecvAnyFor(1, tags, kNoDeadline);
+  sender.join();
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->tag, 2);
+  EXPECT_EQ(msg->data[0], 2.5f);
+
+  const common::Stopwatch poll;
+  EXPECT_FALSE(fabric.RecvFor(1, 1, 0.0).has_value());
+  EXPECT_LT(poll.Elapsed(), 0.01);
+
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    fabric.Shutdown();
+  });
+  EXPECT_FALSE(fabric.RecvAnyFor(1, tags, kNoDeadline).has_value());
+  closer.join();
+  EXPECT_TRUE(fabric.IsClosed(1));
 }
 
 TEST(Fabric, PendingCounts) {
@@ -131,14 +162,14 @@ TEST(Fabric, TrafficStatsAccumulate) {
 TEST(Fabric, InvalidRankRejected) {
   Fabric fabric(2);
   EXPECT_THROW(fabric.Send(0, 5, Make(1)), std::logic_error);
-  EXPECT_THROW(fabric.Recv(9, 1), std::logic_error);
+  EXPECT_THROW(fabric.RecvFor(9, 1, kNoDeadline), std::logic_error);
 }
 
 TEST(Fabric, LatencyModelDelaysDelivery) {
   Fabric fabric(2, [](Rank, Rank, std::size_t) { return 0.03; });
   const common::Stopwatch watch;
   fabric.Send(0, 1, Make(1));
-  auto msg = fabric.Recv(1, 1);
+  auto msg = fabric.RecvFor(1, 1, kNoDeadline);
   ASSERT_TRUE(msg.has_value());
   EXPECT_GE(watch.Elapsed(), 0.025);
 }
@@ -150,7 +181,7 @@ TEST(Fabric, LatencyModelPreservesPerPairOrderWhenEqual) {
     fabric.Send(0, 1, Make(1, {static_cast<float>(i)}));
   }
   for (int i = 0; i < 10; ++i) {
-    auto msg = fabric.Recv(1, 1);
+    auto msg = fabric.RecvFor(1, 1, kNoDeadline);
     ASSERT_TRUE(msg.has_value());
     EXPECT_EQ(msg->data[0], static_cast<float>(i));
   }
@@ -182,7 +213,7 @@ TEST(Fabric, PerSenderFifoUnderConcurrency) {
   std::vector<std::int64_t> next(senders, 0);
   for (int received = 0; received < static_cast<int>(senders) * per_sender;
        ++received) {
-    auto msg = fabric.Recv(senders, 1);
+    auto msg = fabric.RecvFor(senders, 1, kNoDeadline);
     ASSERT_TRUE(msg.has_value());
     ASSERT_EQ(msg->meta[0], next[msg->src]) << "sender " << msg->src;
     ++next[msg->src];
@@ -199,7 +230,7 @@ TEST(Fabric, ConcurrentBidirectionalExchange) {
     std::int64_t sum = 0;
     for (int i = 0; i < n; ++i) {
       fabric.Send(self, peer, Make(7, {}, {i}));
-      auto msg = fabric.Recv(self, 7);
+      auto msg = fabric.RecvFor(self, 7, kNoDeadline);
       if (!msg.has_value()) break;
       sum += msg->meta[0];
     }
@@ -215,11 +246,11 @@ TEST(Fabric, ConcurrentBidirectionalExchange) {
   EXPECT_EQ(sum1, expected);
 }
 
-TEST(Mailbox, GetAnyHonorsClose) {
+TEST(Mailbox, NoDeadlineGetAnyForHonorsClose) {
   Mailbox box;
   std::thread t([&] {
     const int tags[] = {1, 2};
-    EXPECT_FALSE(box.GetAny(tags).has_value());
+    EXPECT_FALSE(box.GetAnyFor(tags, kNoDeadline).has_value());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   box.Close();
@@ -238,7 +269,7 @@ TEST(Mailbox, GetAnyForReturnsEarliestMatching) {
   box.Put(Make(7, {7.0f}));
   box.Put(Make(8, {8.0f}));
   const int tags[] = {8, 7};
-  // Front-of-queue wins, same as GetAny: arrival order, not tag-list order.
+  // Front-of-queue wins: arrival order, not tag-list order.
   auto msg = box.GetAnyFor(tags, 1.0);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->tag, 7);

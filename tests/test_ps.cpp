@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "rna/common/clock.hpp"
 #include "rna/net/fabric.hpp"
 #include "rna/obs/session.hpp"
 #include "rna/ps/server.hpp"
@@ -322,6 +323,44 @@ TEST(ShardedPs, ParentSyncHonorsSyncEvery) {
   EXPECT_EQ(root.Snapshot(), (std::vector<float>{3.0f}));
   child.Stop();
   root.Stop();
+}
+
+// Regression lock — a retry budget of 1 is one bounded attempt. The
+// clients used to read budget <= 1 as "wait forever", so with faults on and
+// fault.retry_budget = 1 the first dropped PS message hung the worker. A
+// server rank that never replies stands in for the drop.
+TEST(PsRetry, BudgetOfOneIsOneBoundedAttempt) {
+  net::Fabric fabric(3);  // client 0; ranks 1 and 2 never serve
+  const common::Stopwatch watch;
+  PsClient single(fabric, 0, 1);
+  single.ConfigureRetry(1, 0.02);
+  EXPECT_FALSE(single.TryPull().has_value());
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    ShardedPsClient sharded(fabric, 0, 1, shards, /*dim=*/4);
+    sharded.ConfigureRetry(1, 0.02);
+    EXPECT_FALSE(sharded.TryPull().has_value()) << shards << " shard(s)";
+  }
+  EXPECT_LT(watch.Elapsed(), 1.0);
+}
+
+TEST(PsRetry, ParentSyncWithBudgetOfOneSkipsAnAbsentParent) {
+  // The PS-tree path of hierarchical RNA: a child whose parent never
+  // answers skips the sync after one bounded attempt and still replies
+  // with its local state.
+  net::Fabric fabric(3);  // client 0, parent 1 (never serves), child 2
+  ParameterServer child(fabric, 2, {0.0f});
+  child.ConfigureParent(1, /*sync_every=*/1, /*retry_budget=*/1,
+                        /*retry_timeout_s=*/0.02);
+  child.Start();
+  PsClient client(fabric, 0, 2);
+  client.ConfigureRetry(1, 1.0);
+  const common::Stopwatch watch;
+  const auto replied =
+      client.TryPushPull(std::vector<float>{8.0f}, ApplyMode::kAssign);
+  EXPECT_LT(watch.Elapsed(), 1.0);
+  ASSERT_TRUE(replied.has_value());
+  EXPECT_EQ(*replied, (std::vector<float>{8.0f}));
+  child.Stop();
 }
 
 }  // namespace

@@ -248,7 +248,7 @@ TEST(RaceStress, FabricAllToAllUnderLatencyChurn) {
   const net::TrafficStats total = fabric.TotalStats();
   EXPECT_EQ(total.messages_sent, kWorld * (kWorld - 1) * kPerPeer);
   fabric.Shutdown();
-  EXPECT_FALSE(fabric.Recv(0, kTag).has_value());
+  EXPECT_FALSE(fabric.RecvFor(0, kTag, common::kNoDeadline).has_value());
 }
 
 TEST(RaceStress, FabricShutdownWakesBlockedReceivers) {
@@ -258,7 +258,8 @@ TEST(RaceStress, FabricShutdownWakesBlockedReceivers) {
   for (net::Rank r = 0; r < 3; ++r) {
     blocked.emplace_back([&, r] {
       const int tags[] = {1, 2};
-      EXPECT_FALSE(fabric.RecvAny(r, tags).has_value());
+      EXPECT_FALSE(
+          fabric.RecvAnyFor(r, tags, common::kNoDeadline).has_value());
       woke.fetch_add(1);
     });
   }

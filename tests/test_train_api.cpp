@@ -140,7 +140,7 @@ TEST(Validate, RejectsEachBrokenFaultField) {
       {"lossy fabric",
        [](TrainerConfig& c) {
          c.protocol = Protocol::kHorovod;
-         c.fault.drop_prob = 0.1;  // untimed BSP collective would deadlock
+         c.fault.drop_prob = 0.1;  // a BSP collective cannot lose a message
        }},
       {"lossy fabric",
        [](TrainerConfig& c) {
@@ -166,8 +166,9 @@ TEST(Validate, RejectsEachBrokenFaultField) {
 }
 
 TEST(Validate, DelayFaultsAreLegalEvenForLosslessProtocols) {
-  // Horovod/SGP reject drop faults (their untimed collectives would
-  // deadlock) but tolerate pure slowness: delay and hang/flaky faults pass.
+  // Horovod/SGP reject drop faults (their fixed collective schedules
+  // cannot recover a lost message) but tolerate pure slowness: delay and
+  // hang/flaky faults pass.
   for (Protocol p : {Protocol::kHorovod, Protocol::kSgp}) {
     TrainerConfig c = ValidConfig(p);
     c.fault.delay_prob = 0.3;

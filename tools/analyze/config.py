@@ -80,7 +80,9 @@ RECV_ENTRY_PATTERNS = (
 
 # The untimed blocking sinks. Reaching any of these from an entry point —
 # through any wrapper chain — is a finding; the deadline variants
-# (RecvFor/GetAnyFor/...) are the sanctioned transport.
+# (RecvFor/GetAnyFor/...) are the sanctioned transport. The fabric no longer
+# defines any of them (common::kNoDeadline is the wait-forever deadline);
+# they stay listed so that reintroducing one fails the check.
 RECV_SINK_PATTERNS = (
     "rna::net::Mailbox::Get",
     "rna::net::Mailbox::GetAny",
@@ -88,10 +90,9 @@ RECV_SINK_PATTERNS = (
     "rna::net::Fabric::RecvAny",
 )
 
-# Wrappers that ARE the untimed receive implementation (they call the
-# sinks by definition and exist for tests/benches that want wait-forever
-# semantics); the finding should point at protocol code reaching them, not
-# at their own bodies.
+# Wrappers that ARE the receive implementation (they would call the sinks
+# by definition); the finding should point at protocol code reaching them,
+# not at their own bodies.
 RECV_SINK_OWNERS = (
     "rna::net::Mailbox::*",
     "rna::net::Fabric::*",

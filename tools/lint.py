@@ -30,6 +30,11 @@ test). Enforces the repo's threading discipline, which Clang's
                     second, unexported timing source. Applies to src/core,
                     src/train, src/baselines, src/ps; the obs module,
                     clock.hpp, tests and benches are exempt.
+  recv-exemption    no `analyze:allow(timed-recv)` marker under src/: every
+                    library receive takes a deadline (common::kNoDeadline
+                    when it may wait forever), so no site needs the
+                    analyzer's exemption. Cannot itself be suppressed;
+                    tests and analyzer fixtures are exempt.
 
 Two former regex rules are RETIRED: the whole-program analyzer
 (tools/analyze) subsumes them with call-graph checks that see through
@@ -211,6 +216,23 @@ def check_retired_suppressions(relpath, raw_lines, findings):
                  "analyze:allow(...) comment or delete this suppression"))
 
 
+RECV_EXEMPTION_RE = re.compile(r"analyze:allow\([^)]*\btimed-recv\b")
+
+
+def check_recv_exemptions(relpath, raw_lines, findings):
+    """Rule recv-exemption: library code has one receive path, so an
+    analyzer exemption for an untimed receive has no legitimate site."""
+    if not in_library(relpath):
+        return
+    for i, raw in enumerate(raw_lines):
+        if RECV_EXEMPTION_RE.search(raw):
+            findings.append(
+                (relpath, i + 1, "recv-exemption",
+                 "analyze:allow(timed-recv) is not accepted in src/; pass a "
+                 "deadline to RecvFor/RecvAnyFor (common::kNoDeadline to "
+                 "wait until delivery or shutdown)"))
+
+
 MUTEX_MEMBER_RE = re.compile(
     r"\b(?:common::)?Mutex\s+(?P<name>\w+_)\s*;")
 
@@ -250,6 +272,7 @@ def lint_text(relpath, text):
                 findings.append((relpath, i + 1, rule.name, rule.message))
     check_unguarded_mutexes(relpath, code, raw_lines, findings)
     check_retired_suppressions(relpath, raw_lines, findings)
+    check_recv_exemptions(relpath, raw_lines, findings)
     return findings
 
 
@@ -294,6 +317,8 @@ SELFTEST_CASES = [
      "go = fabric.Recv(w, kGo);  // lint:allow(untimed-recv)\n"),
     ("retired-rule", "src/nn/norm.cpp",
      "inv_std_.resize(rows);  // lint:allow(nn-raw-alloc)\n"),
+    ("recv-exemption", "src/train/partial_engine.cpp",
+     "go = fabric.Recv(w, kGo);  // analyze:allow(timed-recv)\n"),
 ]
 
 SELFTEST_CLEAN = [
@@ -322,10 +347,11 @@ SELFTEST_CLEAN = [
     # analyzer's own fixtures (tests/analyze_fixtures/) cover them.
     ("src/core/engine.cpp", "auto m = fabric.Recv(w, 5);\n"),
     ("src/nn/lstm.cpp", "float* z = new float[4 * h];\n"),
-    # A suppression that migrated to the analyzer's comment form is not a
-    # stale lint suppression.
-    ("src/core/engine.cpp",
-     "go = fabric.Recv(w, kGo);  // analyze:allow(timed-recv)\n"),
+    # A suppression in the analyzer's comment form is not a stale lint
+    # suppression, and outside src/ (the analyzer's own fixtures) the
+    # timed-recv exemption stays legal.
+    ("tests/analyze_fixtures/timed_recv_clean/main.cpp",
+     "return box.Get(3);  // analyze:allow(timed-recv)\n"),
     # Live-rule suppressions are still honoured, not flagged as retired.
     ("src/x.cpp", "std::mutex legacy2;  // lint:allow(raw-mutex)\n"),
     ("src/data/sampler.cpp", "indices.resize(batch_size);\n"),
