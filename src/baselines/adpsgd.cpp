@@ -59,7 +59,6 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> rounds_done{0};
   std::atomic<std::size_t> gradients{0};
-  std::atomic<std::size_t> workers_running{world};
 
   EvalMonitor monitor(config, factory, val_data);
   monitor.Start(board, stop, rounds_done);
@@ -73,18 +72,18 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
   obs::ScopedTimer wall_timer(obs::RegisterTrack("main"),
                               obs::Category::kOther, "train_total");
 
-  // Responder threads: serve pairwise-average requests until every active
-  // worker has finished (an active requester is never left hanging).
+  // Responder threads: serve pairwise-average requests until the fabric
+  // shuts down, which happens only after every trainer has joined (an
+  // active requester is never left hanging).
   std::vector<std::thread> responders;
   responders.reserve(world);
   for (std::size_t w = 0; w < world; ++w) {
     responders.emplace_back([&, w] {
-      while (workers_running.load() > 0) {
+      while (auto req =
+                 fabric.RecvFor(w, tags::kAvgReq, common::kNoDeadline)) {
         // A crashed rank answers no more gossip; requesters discover that
         // through their reply timeout and mark the peer dead.
         if (!faults.Alive(w)) break;
-        auto req = fabric.RecvFor(w, tags::kAvgReq, 0.002);
-        if (!req.has_value()) continue;
         net::Message reply;
         reply.tag = tags::kAvgRep;
         {
@@ -207,11 +206,11 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
       }
       // Retire also releases a turn still held after a break.
       if (lockstep) gate.Retire(w);
-      workers_running.fetch_sub(1);
     });
   }
 
   for (auto& t : trainers) t.join();
+  fabric.Shutdown();
   for (auto& t : responders) t.join();
   const common::Seconds wall_s = wall_timer.Stop();
   monitor.Finish();

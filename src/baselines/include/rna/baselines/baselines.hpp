@@ -3,16 +3,19 @@
 // The three comparison systems of the paper's evaluation (§7.3), each
 // re-implemented from scratch on the shared substrates:
 //
-//  * Horovod — the BSP state of the art: a negotiation barrier (the
-//    in-process equivalent of NEGOTIATE_ALLREDUCE) followed by a blocking
-//    ring allreduce every iteration; every worker waits for the slowest.
+//  * Horovod — the BSP state of the art, run as the zero-staleness corner
+//    of the partial-collective engine: the controller fires only when
+//    every member is ready (the coordinator's NEGOTIATE_ALLREDUCE) and
+//    paces compute to one gradient per worker per round; every worker
+//    waits for the slowest.
 //  * AD-PSGD — asynchronous decentralized parallel SGD: each worker
 //    independently computes, then performs an *atomic* pairwise model
 //    average with one random neighbor; the atomicity cost (the peer's
 //    model is locked during the exchange) is real in this implementation.
-//  * eager-SGD — partial collectives triggered by the *majority* rule,
-//    running on the same cross-iteration engine as RNA so the comparison
-//    isolates the trigger policy.
+//  * eager-SGD — partial collectives triggered by the *majority* rule.
+//
+// Horovod and eager-SGD run on the same engine as RNA, so a comparison
+// among the three isolates the protocol, not the implementation.
 
 #include "rna/data/dataset.hpp"
 #include "rna/train/config.hpp"

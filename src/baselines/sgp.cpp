@@ -44,9 +44,9 @@ TrainResult RunSgp(const TrainerConfig& config, const ModelFactory& factory,
   RNA_CHECK_MSG(world >= 2, "SGP needs at least two workers");
   net::Fabric fabric(world);
 
-  // Like Horovod, SGP's fixed one-push-one-receive schedule cannot lose a
-  // member (Validate rejects crash and drop faults); hang/flaky/delay
-  // faults just stall the hop graph.
+  // SGP's fixed one-push-one-receive schedule cannot lose a member
+  // (Validate rejects crash and drop faults); hang/flaky/delay faults just
+  // stall the hop graph.
   FaultRuntime faults(config);
   if (auto plan = BuildFaultPlan(config)) {
     fabric.InstallFaultPlan(std::move(plan));

@@ -6,7 +6,7 @@
 // (RingAllreduce / RingAllreduceFor / RingPartialAllreduce): call sites
 // build a CollectiveOptions once and the same options select the wire
 // format and topology everywhere — flat rings, hierarchical groups, fused
-// buckets, Horovod's baseline.
+// buckets.
 
 #include <optional>
 #include <span>

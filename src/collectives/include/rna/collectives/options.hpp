@@ -71,7 +71,7 @@ struct CollectiveOptions {
   std::size_t straggler = kNoStraggler;
 
   /// Number of trailing elements carried bit-exact through lossy
-  /// compression (contributor counts, stop votes).
+  /// compression (the partial collective's contributor count).
   std::size_t exact_tail = 0;
 
   /// Per-worker error-feedback residual for the lossy policies; may be

@@ -18,7 +18,7 @@
 // are bit-cast u32 counts; `scale` is a plain float. `tail` is the last
 // `exact_tail` elements of the chunk carried verbatim (bit-exact) — the
 // transport for exact side-channels like the partial-allreduce contributor
-// count or Horovod's stop vote, which must survive lossy compression.
+// count, which must survive lossy compression.
 //
 // Quantization is per chunk: scale = max|v| mapped onto the format's full
 // range (65504 for fp16, 127 for int8), so every chunk uses its dynamic

@@ -189,10 +189,12 @@ std::optional<std::vector<float>> PsClient::TryCall(
     fabric_->Send(self_, server_, std::move(req));
     if (!want_reply) return std::vector<float>{};
 
-    // Exponential backoff: t, 2t, 4t, ... per attempt. Under kNoDeadline
-    // the first attempt waits until the reply or shutdown.
+    // Exponential backoff: t, 2t, 4t, ... per attempt, flat from attempt 63
+    // on so no retry budget overflows the shift. Under kNoDeadline the
+    // first attempt waits until the reply or shutdown.
+    const std::size_t doublings = std::min<std::size_t>(attempt, 63);
     const double timeout =
-        retry_timeout_s_ * static_cast<double>(std::uint64_t{1} << attempt);
+        retry_timeout_s_ * static_cast<double>(std::uint64_t{1} << doublings);
     auto reply = fabric_->RecvFor(self_, PsTags::kReply, timeout);
     if (reply.has_value()) return parse(*reply);
     if (fabric_->IsClosed(self_)) return std::nullopt;

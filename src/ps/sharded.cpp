@@ -92,11 +92,13 @@ std::optional<std::vector<float>> ShardedPsClient::TryCall(
     }
     if (!want_reply) return std::vector<float>{};
 
-    // Exponential backoff: t, 2t, 4t, ... per attempt; each shard reply
-    // renews the window (the stripe is making progress). Under kNoDeadline
-    // the first attempt waits until every shard answered or shutdown.
+    // Exponential backoff: t, 2t, 4t, ... per attempt, flat from attempt 63
+    // on so no retry budget overflows the shift; each shard reply renews
+    // the window (the stripe is making progress). Under kNoDeadline the
+    // first attempt waits until every shard answered or shutdown.
+    const std::size_t doublings = std::min<std::size_t>(attempt, 63);
     const double timeout =
-        retry_timeout_s_ * static_cast<double>(std::uint64_t{1} << attempt);
+        retry_timeout_s_ * static_cast<double>(std::uint64_t{1} << doublings);
     while (got < shards_) {
       auto reply = fabric_->RecvFor(self_, PsTags::kReply, timeout);
       if (!reply.has_value()) break;

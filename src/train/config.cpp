@@ -205,9 +205,8 @@ std::string TrainerConfig::ValidateFault() const {
               fault.ps_drop_prob > 0.0) &&
              (protocol == Protocol::kHorovod || protocol == Protocol::kSgp)) {
     why << ProtocolName(protocol)
-        << " cannot run on a lossy fabric: its fixed collective schedule "
-           "has no recovery from a dropped message (use delay faults "
-           "instead)";
+        << " cannot run on a lossy fabric: every round needs every "
+           "member's message (use delay faults instead)";
   } else {
     for (const WorkerFaultSchedule& w : fault.workers) {
       if (w.rank >= world) {

@@ -21,7 +21,7 @@ namespace rna::train {
 
 /// Which synchronization protocol drives the run.
 enum class Protocol {
-  kHorovod,          ///< BSP ring allreduce with coordinator negotiation
+  kHorovod,          ///< BSP: the engine's full trigger under lockstep pacing
   kEagerSgd,         ///< majority-triggered partial collective
   kAdPsgd,           ///< asynchronous randomized pairwise averaging
   kRna,              ///< the paper's contribution (flat)
@@ -271,7 +271,8 @@ struct TrainerConfig {
   /// compute token per round, so every protocol's schedule (and therefore
   /// its TrainResult) is a pure function of the seeds — the precondition
   /// that makes chaos failures replayable. Free-running (false) keeps the
-  /// paper's wall-clock-raced behavior.
+  /// paper's wall-clock-raced behavior. Horovod is always paced: pacing is
+  /// BSP.
   bool lockstep = false;
 
   /// Fault injection (off by default); see FaultConfig.

@@ -42,6 +42,8 @@ class GradientStage {
     /// Write()s consumed — kLatest discards all but the newest, but still
     /// reports every removed entry here and counts the rest as dropped).
     std::size_t count = 0;
+    /// Entries combined into `grad`: `count`, or 1 under kLatest.
+    std::size_t used = 0;
     std::int64_t newest = -1;     ///< newest source iteration
     std::int64_t oldest = -1;     ///< oldest source iteration
   };

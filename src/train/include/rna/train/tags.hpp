@@ -16,7 +16,6 @@ inline constexpr int kGo = 103;        ///< controller → worker: run round / e
 inline constexpr int kRoundEnd = 105;  ///< worker → controller: round report
 inline constexpr int kStep = 107;      ///< controller → worker: lockstep compute token
 inline constexpr int kGoodbye = 108;   ///< worker → controller: fail-stop farewell
-inline constexpr int kBarrier = 300;   ///< Horovod negotiation barrier (+1 used)
 inline constexpr int kAvgReq = 400;    ///< AD-PSGD pairwise average request
 inline constexpr int kAvgRep = 401;    ///< AD-PSGD pairwise average reply
 inline constexpr int kGroupRing = 500; ///< hierarchical intra-group broadcast
@@ -44,11 +43,6 @@ inline constexpr int kRingStride = 4096;  ///< supports rings up to ~2000 ranks
 /// Tag base for the collective of `round` (unique per round).
 inline constexpr int RingTag(std::size_t round) {
   return kRingBase + static_cast<int>(round) * kRingStride;
-}
-
-/// Tag base for Horovod's negotiation barrier of `round`.
-inline constexpr int BarrierTag(std::size_t round) {
-  return kBarrier + static_cast<int>(round % 2) * 8;
 }
 
 }  // namespace rna::train::tags

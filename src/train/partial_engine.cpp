@@ -188,6 +188,7 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
   EvalMonitor monitor(config, factory, val_data);
   monitor.Start(*boards[group_of[0]], stop, rounds_done);
 
+  // wait is written by a rank's compute thread, comm by its comm thread.
   std::vector<WorkerTimeBreakdown> comm_times(world);
   std::vector<std::vector<float>> final_params(world);
 
@@ -226,8 +227,11 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
       for (;;) {
         std::optional<net::Message> go;
         {
-          obs::ScopedTimer wait_timer(track, obs::Category::kWait,
-                                      "wait_trigger", &comm_times[w].wait);
+          // The comm thread idling until the next Go is not the worker
+          // waiting: under free-running its compute thread keeps running.
+          // Worker wait is the compute thread's paced token receive below.
+          obs::ScopedTimer idle_timer(track, obs::Category::kOther,
+                                      "wait_trigger");
           // A dropped exit-Go must not strand this thread: under faults
           // the session's end or a kill abandons the wait.
           while (!(go = fabric.RecvFor(w, tags::kGo, token_poll))
@@ -306,7 +310,7 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
           }
           net::Message report;
           report.tag = tags::kRoundEnd;
-          // meta: [round, consumed=0, aborted=0, synced flag]
+          // meta: [round, consumed=0, applied=0, synced flag]
           report.meta = {go->meta[0], 0, 0, synced ? 1 : 0};
           fabric.Send(w, controller, std::move(report));
           continue;
@@ -435,10 +439,14 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
 
         net::Message report;
         report.tag = tags::kRoundEnd;
-        // meta: [round, gradients consumed, aborted flag]
+        // meta: [round, gradients consumed, gradients applied or -1 when
+        // the collective aborted]. Consumed reconciles the controller's
+        // readiness count; applied leaves out what kLatest discarded.
+        const std::int64_t used =
+            fresh ? static_cast<std::int64_t>(drained->used) : 0;
         report.meta = {go->meta[0],
                        fresh ? static_cast<std::int64_t>(drained->count) : 0,
-                       reduced.ok ? 0 : 1};
+                       reduced.ok ? used : -1};
         fabric.Send(w, controller, std::move(report));
       }
       // A leaver or a crash must not end the session; only the shared exit
@@ -471,9 +479,16 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
       if (lockstep) {
         // Deterministic pacing: compute exactly one batch per controller
         // step token; acknowledge with kReady (or kGoodbye on a scheduled
-        // crash) so the controller can account for every token.
+        // crash) so the controller can account for every token. The token
+        // receive is the only place a worker cannot start a batch, so it
+        // is the worker's wait (under BSP: the wait for the round's
+        // slowest member and the collective).
+        const obs::TrackHandle track =
+            obs::RegisterTrack(obs::WorkerTrack(w, "compute"));
         for (;;) {
           std::optional<net::Message> token;
+          obs::ScopedTimer wait_timer(track, obs::Category::kWait,
+                                      "wait_step", &comm_times[w].wait);
           while (!(token = fabric.RecvFor(w, tags::kStep, token_poll))
                       .has_value()) {
             // Lossless lockstep: global_stop only means *some* group
@@ -485,6 +500,7 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
               return;
             }
           }
+          wait_timer.Stop();
           if (token->meta.empty() || token->meta[0] < 0) return;
           if (!faults.Alive(w)) return;
           if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
@@ -705,11 +721,9 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
                 const std::size_t slot = slot_of[late->src];
                 readiness.Add(slot, -late->meta[1]);
                 miss_count[slot] = 0;
-                const bool was_aborted =
-                    late->meta.size() > 2 && late->meta[2] != 0;
-                if (!was_aborted) {
+                if (late->meta[2] > 0) {
                   batches_applied.fetch_add(
-                      static_cast<std::size_t>(late->meta[1]));
+                      static_cast<std::size_t>(late->meta[2]));
                 }
               }
               if (directory.ActiveCount() == 0) break;
@@ -826,9 +840,9 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
           // kRoundEnd — possibly a late report of an earlier round.
           readiness.Add(slot, -msg->meta[1]);
           miss_count[slot] = 0;
-          const bool aborted = msg->meta.size() > 2 && msg->meta[2] != 0;
+          const bool aborted = msg->meta[2] < 0;
           if (!aborted) {
-            batches_applied.fetch_add(static_cast<std::size_t>(msg->meta[1]));
+            batches_applied.fetch_add(static_cast<std::size_t>(msg->meta[2]));
           }
           if (static_cast<std::size_t>(msg->meta[0]) != round) continue;
           if (!responded[slot]) {

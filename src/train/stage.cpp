@@ -41,6 +41,7 @@ std::optional<GradientStage::Drained> GradientStage::Drain() {
   out.newest = taken.back().iteration;
 
   if (taken.size() == 1 || combine_ == LocalCombine::kLatest) {
+    out.used = 1;
     out.grad = std::move(taken.back().grad);
     if (combine_ == LocalCombine::kLatest && taken.size() > 1) {
       // Older buffered gradients are discarded unused.
@@ -50,6 +51,7 @@ std::optional<GradientStage::Drained> GradientStage::Drain() {
     return out;
   }
 
+  out.used = taken.size();
   out.grad.assign(dim_, 0.0f);
   double weight_sum = 0.0;
   for (const Entry& e : taken) {

@@ -153,6 +153,37 @@ TEST(Chaos, HangElectedInitiatorIsAbsentNotDead) {
   EXPECT_LT(r.final_loss, kChanceLoss);
 }
 
+// Horovod on the engine rides out a hang the way BSP with a deadline must:
+// a member that misses the controller's token deadline contributes null to
+// that round instead of stalling it. Horovod's old private runtime gave up
+// the whole run when its negotiation barrier timed out (3 of 12 rounds).
+TEST(Chaos, HorovodRidesOutAHungWorker) {
+  constexpr std::size_t kWorld = 3;
+  constexpr std::size_t kRounds = 12;
+  constexpr std::size_t kHangRound = 3;
+  Scenario s = SmallScenario(19);
+  TrainerConfig c = ChaosConfig(Protocol::kHorovod, kWorld, kRounds);
+  WorkerFaultSchedule w;
+  w.rank = 1;
+  w.hang_at_iteration = kHangRound;  // one batch per round: round 3's batch
+  w.hang_for_s = 2.0;  // several report deadlines (0.35 s each)
+  c.fault.workers.push_back(w);
+
+  const TrainResult r = core::RunTraining(c, s.factory, s.train, s.val);
+
+  EXPECT_EQ(r.rounds, kRounds);
+  EXPECT_EQ(r.live_workers, kWorld);
+  ASSERT_EQ(r.round_contributors.size(), kRounds);
+  for (std::size_t round = 0; round < kHangRound; ++round) {
+    EXPECT_EQ(r.round_contributors[round], kWorld) << "round " << round;
+  }
+  // The hang spans at least the two rounds after it starts.
+  EXPECT_EQ(r.round_contributors[kHangRound], kWorld - 1);
+  EXPECT_EQ(r.round_contributors[kHangRound + 1], kWorld - 1);
+  EXPECT_LE(r.gradients_applied, kRounds * kWorld);
+  EXPECT_LT(r.final_loss, kChanceLoss);
+}
+
 // Kill every member of one hierarchical speed group mid-run. The surviving
 // group's RNA ring and its async PS averaging must keep going; the dead
 // group's controller retires from the PS rotation instead of wedging it.

@@ -5,7 +5,8 @@
 // replay-from-logged-seed guarantee rests on.
 //
 // What lockstep buys per protocol:
-//   * horovod       — BSP is already deterministic; lockstep is a no-op
+//   * horovod       — always paced: BSP is the engine's lockstep corner, so
+//                     the flag changes nothing
 //   * rna / eager   — controller paces compute with one kStep token per
 //                     round, so membership and staleness are schedule-free
 //   * rna-h         — plus nominal (delay-model-sampled) calibration instead
@@ -101,6 +102,21 @@ void ExpectIdenticalRuns(Protocol protocol) {
 }
 
 TEST(LockstepDeterminism, Horovod) { ExpectIdenticalRuns(Protocol::kHorovod); }
+
+// Horovod is the engine's paced path with the full trigger, and pacing is
+// BSP: each member computes one gradient per round against the previous
+// round's parameters, and the controller sends its Go only once every token
+// is accounted for. So fault-free lockstep Horovod, RNA and eager-SGD run
+// the same rounds with every member contributing, and agree bit for bit.
+// It is also why no lockstep pin exercises RNA's trigger: under pacing the
+// controller never consults its policy.
+TEST(LockstepDeterminism, HorovodIsTheEnginesBspCorner) {
+  for (const Protocol p : {Protocol::kRna, Protocol::kEagerSgd}) {
+    SCOPED_TRACE(ProtocolName(p));
+    ExpectIdenticalRunsAcross(LockstepConfig(Protocol::kHorovod),
+                              LockstepConfig(p));
+  }
+}
 
 TEST(LockstepDeterminism, EagerSgd) {
   ExpectIdenticalRuns(Protocol::kEagerSgd);

@@ -75,6 +75,21 @@ TEST(Integration, HorovodLearns) {
   }
 }
 
+// Under BSP a worker waits when its compute thread cannot start a batch:
+// the fastest worker waits out the slowest every round, while the slowest
+// waits only for the collective. (Charging the comm thread's wait for the
+// Go instead would bill the slowest worker's own compute as its wait.)
+TEST(Integration, HorovodWaitIsTheFastWorkersShare) {
+  Scenario s = MakeMlpScenario();
+  TrainerConfig c = BaseConfig(Protocol::kHorovod, 20);
+  c.world = 3;
+  c.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+      0.0, std::vector<double>{0.0, 0.002, 0.010});
+  const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
+  ASSERT_EQ(r.breakdown.size(), 3u);
+  EXPECT_LT(r.breakdown[2].wait, 0.5 * r.breakdown[0].wait);
+}
+
 TEST(Integration, RnaLearns) {
   Scenario s = MakeMlpScenario();
   const TrainResult r =
@@ -83,6 +98,18 @@ TEST(Integration, RnaLearns) {
   EXPECT_EQ(r.rounds, 250u);
   EXPECT_GT(r.gradients_applied, 0u);
   ASSERT_EQ(r.breakdown.size(), 4u);
+}
+
+// A round applies at most one gradient per member. Free-running eager-SGD
+// buffers several gradients between rounds but keeps only the newest
+// (kLatest); the older ones are drops, not applied gradients.
+TEST(Integration, EagerSgdAppliesAtMostOneGradientPerMemberPerRound) {
+  Scenario s = MakeMlpScenario();
+  TrainerConfig c = BaseConfig(Protocol::kEagerSgd, 6);
+  c.world = 3;
+  const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
+  EXPECT_EQ(r.rounds, 6u);
+  EXPECT_LE(r.gradients_applied, r.rounds * c.world);
 }
 
 TEST(Integration, EagerSgdLearns) {

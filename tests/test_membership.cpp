@@ -400,8 +400,8 @@ TEST(Tags, RoundIndexedRangesStayDisjoint) {
             tags::RingTag(6));
   // The fixed control tags sit below every round-indexed range.
   for (const int t : {tags::kReady, tags::kGo, tags::kRoundEnd, tags::kStep,
-                      tags::kGoodbye, tags::kBarrier, tags::kAvgReq,
-                      tags::kAvgRep, tags::kGroupRing}) {
+                      tags::kGoodbye, tags::kAvgReq, tags::kAvgRep,
+                      tags::kGroupRing}) {
     EXPECT_LT(t, tags::kJoinStateBase);
   }
 }

@@ -271,7 +271,7 @@ TEST(WorkerAccountsQuery, SumsOnlyBreakdownCategoriesPerRank) {
   TrackHandle ctl = rec.RegisterTrack("controller");
   rec.Record(compute, MakeSpan("batch", Category::kCompute, 0.0, 2.0));
   rec.Record(compute, MakeSpan("batch", Category::kCompute, 2.0, 1.0));
-  rec.Record(comm, MakeSpan("wait_trigger", Category::kWait, 0.0, 0.5));
+  rec.Record(compute, MakeSpan("wait_step", Category::kWait, 3.0, 0.5));
   rec.Record(comm, MakeSpan("partial_allreduce", Category::kComm, 0.5, 0.25));
   // Structural spans must not leak into the breakdown sums.
   rec.Record(comm, MakeSpan("round", Category::kRound, 0.0, 99.0));

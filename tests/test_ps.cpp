@@ -343,6 +343,20 @@ TEST(PsRetry, BudgetOfOneIsOneBoundedAttempt) {
   EXPECT_LT(watch.Elapsed(), 1.0);
 }
 
+// The backoff doubles per attempt. A budget past 64 attempts must not shift
+// a 64-bit one past its width, which is undefined (UBSan flags it).
+TEST(PsRetry, BudgetPastSixtyFourAttemptsKeepsTheBackoffDefined) {
+  net::Fabric fabric(3);  // client 0; ranks 1 and 2 never serve
+  PsClient single(fabric, 0, 1);
+  single.ConfigureRetry(66, 1e-300);
+  EXPECT_FALSE(single.TryPull().has_value());
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    ShardedPsClient sharded(fabric, 0, 1, shards, /*dim=*/4);
+    sharded.ConfigureRetry(66, 1e-300);
+    EXPECT_FALSE(sharded.TryPull().has_value()) << shards << " shard(s)";
+  }
+}
+
 TEST(PsRetry, ParentSyncWithBudgetOfOneSkipsAnAbsentParent) {
   // The PS-tree path of hierarchical RNA: a child whose parent never
   // answers skips the sync after one bounded attempt and still replies

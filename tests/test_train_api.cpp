@@ -166,9 +166,8 @@ TEST(Validate, RejectsEachBrokenFaultField) {
 }
 
 TEST(Validate, DelayFaultsAreLegalEvenForLosslessProtocols) {
-  // Horovod/SGP reject drop faults (their fixed collective schedules
-  // cannot recover a lost message) but tolerate pure slowness: delay and
-  // hang/flaky faults pass.
+  // Horovod/SGP reject drop faults (every round needs every member's
+  // message) but tolerate pure slowness: delay and hang/flaky faults pass.
   for (Protocol p : {Protocol::kHorovod, Protocol::kSgp}) {
     TrainerConfig c = ValidConfig(p);
     c.fault.delay_prob = 0.3;
