@@ -244,11 +244,7 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
     result.breakdown[w].comm = wait_comm[w].comm;
   }
   result.final_params = consensus;
-  const nn::BatchResult final_eval = monitor.FullEval(consensus);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss =
-      EvaluateDataset(workers[0]->Net(), consensus, train_data, 2048).loss;
+  monitor.FinalEval(workers[0]->Net(), train_data, &result);
   return result;
 }
 

@@ -198,11 +198,7 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
     result.breakdown[w].comm = wait_comm[w].comm;
   }
   result.final_params = final_params;
-  const nn::BatchResult final_eval = monitor.FullEval(final_params);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss =
-      EvaluateDataset(workers[0]->Net(), final_params, train_data, 2048).loss;
+  monitor.FinalEval(workers[0]->Net(), train_data, &result);
   return result;
 }
 

@@ -180,12 +180,7 @@ TrainResult RunSgp(const TrainerConfig& config, const ModelFactory& factory,
     result.breakdown[w].comm = wait_comm[w].comm;
   }
   result.final_params = final_debiased[0];
-  const nn::BatchResult final_eval = monitor.FullEval(final_debiased[0]);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss =
-      EvaluateDataset(workers[0]->Net(), final_debiased[0], train_data, 2048)
-          .loss;
+  monitor.FinalEval(workers[0]->Net(), train_data, &result);
   return result;
 }
 

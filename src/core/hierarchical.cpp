@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <string>
+#include <thread>
 
 #include "protocol_impls.hpp"
 #include "rna/collectives/ring.hpp"
@@ -76,9 +77,18 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
       iter_times[w] = sum / static_cast<double>(calib);
     }
   } else {
+    // Every worker times itself at the same moment, as on a real cluster,
+    // so the timings include the contention training will see. Each
+    // context owns its net, batch generator and delay RNG: the threads
+    // share nothing, and they are joined before the engine starts its own.
+    std::vector<std::thread> timers;
+    timers.reserve(world);
     for (std::size_t w = 0; w < world; ++w) {
-      iter_times[w] = run.workers[w]->MeasureIterationTime(init, calib);
+      timers.emplace_back([&, w] {
+        iter_times[w] = run.workers[w]->MeasureIterationTime(init, calib);
+      });
     }
+    for (std::thread& timer : timers) timer.join();
   }
   const std::vector<std::size_t> group_of =
       ComputeSpeedGroupsCapped(iter_times, config.max_group_size);

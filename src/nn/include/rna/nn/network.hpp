@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -80,16 +79,18 @@ class Network {
   tensor::Arena& ComputeArena() { return arena_; }
 
  protected:
-  /// RAII wrapper the classifiers open around one compute step: activates
-  /// the arena (when enabled) and resets its scratch region on exit.
+  /// RAII wrapper the classifiers open around one unit of compute — a
+  /// dense batch, or one sequence of a sequence batch: activates the arena
+  /// (the heap when it is disabled) and resets its scratch region on exit.
+  /// Nothing a sequence allocates outlives its own forward and backward
+  /// pass, so a sequence batch needs one sequence's scratch, not B.
   class ComputeScope {
    public:
-    explicit ComputeScope(Network& net) {
-      if (net.arena_enabled_) scope_.emplace(net.arena_);
-    }
+    explicit ComputeScope(Network& net)
+        : scope_(net.arena_enabled_ ? &net.arena_ : nullptr) {}
 
    private:
-    std::optional<tensor::Arena::StepScope> scope_;
+    tensor::Arena::StepScope scope_;
   };
 
   /// Params()/Grads() build fresh pointer vectors — fine at setup, not per

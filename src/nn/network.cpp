@@ -132,7 +132,6 @@ LstmClassifier::LstmClassifier(std::size_t input_dim, std::size_t hidden_dim,
 BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
   RNA_CHECK_MSG(!batch.sequences.empty(), "LSTM takes sequence inputs");
   RNA_CHECK(batch.sequences.size() == batch.labels.size());
-  ComputeScope scope(*this);
   if (train) ZeroGrads();
   dropout_.SetTraining(train);
 
@@ -142,6 +141,7 @@ BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
       static_cast<float>(1.0 / static_cast<double>(batch.labels.size()));
 
   for (std::size_t s = 0; s < batch.sequences.size(); ++s) {
+    ComputeScope scope(*this);  // per sequence: see ComputeScope
     tensor::Tensor h = lstm_.Forward(batch.sequences[s]);
     tensor::Tensor hd = dropout_.Forward(h);
     tensor::Tensor logits = head_.Forward(hd);
@@ -202,7 +202,6 @@ DeepLstmClassifier::DeepLstmClassifier(std::size_t input_dim,
 
 BatchResult DeepLstmClassifier::Run(const Batch& batch, bool train) {
   RNA_CHECK_MSG(!batch.sequences.empty(), "deep LSTM takes sequence inputs");
-  ComputeScope scope(*this);
   if (train) ZeroGrads();
   BatchResult result;
   result.total = batch.labels.size();
@@ -210,6 +209,7 @@ BatchResult DeepLstmClassifier::Run(const Batch& batch, bool train) {
       static_cast<float>(1.0 / static_cast<double>(batch.labels.size()));
 
   for (std::size_t s = 0; s < batch.sequences.size(); ++s) {
+    ComputeScope scope(*this);  // per sequence: see ComputeScope
     // Forward: each layer consumes the full hidden sequence of the one
     // below; the head reads the top layer's final state.
     tensor::Tensor h = batch.sequences[s];
@@ -293,7 +293,6 @@ TransformerClassifier::TransformerClassifier(std::size_t input_dim,
 BatchResult TransformerClassifier::Run(const Batch& batch, bool train) {
   RNA_CHECK_MSG(!batch.sequences.empty(),
                 "transformer takes sequence inputs");
-  ComputeScope scope(*this);
   if (train) ZeroGrads();
   BatchResult result;
   result.total = batch.labels.size();
@@ -302,6 +301,7 @@ BatchResult TransformerClassifier::Run(const Batch& batch, bool train) {
       static_cast<float>(1.0 / static_cast<double>(batch.labels.size()));
 
   for (std::size_t s = 0; s < batch.sequences.size(); ++s) {
+    ComputeScope scope(*this);  // per sequence: see ComputeScope
     const tensor::Tensor& x = batch.sequences[s];
     const std::size_t steps = x.Rows();
 
@@ -385,7 +385,6 @@ AttentionClassifier::AttentionClassifier(std::size_t input_dim,
 BatchResult AttentionClassifier::Run(const Batch& batch, bool train) {
   RNA_CHECK_MSG(!batch.sequences.empty(), "attention takes sequence inputs");
   RNA_CHECK(batch.sequences.size() == batch.labels.size());
-  ComputeScope scope(*this);
   if (train) ZeroGrads();
 
   BatchResult result;
@@ -394,6 +393,7 @@ BatchResult AttentionClassifier::Run(const Batch& batch, bool train) {
       static_cast<float>(1.0 / static_cast<double>(batch.labels.size()));
 
   for (std::size_t s = 0; s < batch.sequences.size(); ++s) {
+    ComputeScope scope(*this);  // per sequence: see ComputeScope
     const tensor::Tensor& x = batch.sequences[s];
     const std::size_t steps = x.Rows();
     tensor::Tensor y = attention_.Forward(x);  // T×A

@@ -16,8 +16,8 @@ std::size_t RoundUp(std::size_t bytes) {
 
 Arena* Arena::Current() { return t_current_arena; }
 
-Arena::Scope::Scope(Arena& arena) : previous_(t_current_arena) {
-  t_current_arena = &arena;
+Arena::Scope::Scope(Arena* arena) : previous_(t_current_arena) {
+  t_current_arena = arena;
 }
 
 Arena::Scope::~Scope() { t_current_arena = previous_; }

@@ -89,11 +89,13 @@ class Arena {
   /// through this hook; see Scope below.
   static Arena* Current();
 
-  /// RAII activation: makes this arena Current() on the calling thread for
-  /// the scope's lifetime, restoring the previous one on exit.
+  /// RAII activation: makes `arena` Current() on the calling thread for
+  /// the scope's lifetime, restoring the previous one on exit. A null arena
+  /// routes the scope's allocations to the heap.
   class Scope {
    public:
-    explicit Scope(Arena& arena);
+    explicit Scope(Arena* arena);
+    explicit Scope(Arena& arena) : Scope(&arena) {}
     ~Scope();
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
@@ -102,16 +104,20 @@ class Arena {
     Arena* previous_;
   };
 
-  /// Scope + ResetScratch() on exit: wraps exactly one compute step.
+  /// Scope + ResetScratch() on exit: wraps exactly one compute step. A
+  /// null arena makes it a heap scope with nothing to reset.
   class StepScope {
    public:
-    explicit StepScope(Arena& arena) : arena_(arena), scope_(arena) {}
-    ~StepScope() { arena_.ResetScratch(); }
+    explicit StepScope(Arena* arena) : arena_(arena), scope_(arena) {}
+    explicit StepScope(Arena& arena) : StepScope(&arena) {}
+    ~StepScope() {
+      if (arena_ != nullptr) arena_->ResetScratch();
+    }
     StepScope(const StepScope&) = delete;
     StepScope& operator=(const StepScope&) = delete;
 
    private:
-    Arena& arena_;
+    Arena* arena_;
     Scope scope_;
   };
 

@@ -50,8 +50,14 @@ class EvalMonitor {
   bool ReachedTarget() const { return reached_target_; }
   bool EarlyStopped() const { return early_stopped_; }
 
-  /// Full-validation-set evaluation of the given parameters.
-  nn::BatchResult FullEval(std::span<const float> params);
+  /// The terminal evaluation of `result->final_params`: fills final_loss
+  /// and final_accuracy from the whole validation set and final_train_loss
+  /// from the first 2048 training samples. The 512-sample slices are dealt
+  /// alternately to the monitor's replica and `replica` (worker 0's, on one
+  /// extra thread) and folded in slice order, so every figure is bit-equal
+  /// to a serial EvaluateDataset. Call after Finish().
+  void FinalEval(nn::Network& replica, const data::Dataset& train_data,
+                 TrainResult* result);
 
  private:
   void Loop();

@@ -1,5 +1,6 @@
 #include "rna/train/monitor.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "rna/common/check.hpp"
@@ -60,28 +61,64 @@ nn::BatchResult EvalMonitor::EvalSubsample(std::span<const float> params) {
   return net_->Evaluate(val_.MakeBatch(indices));
 }
 
-nn::BatchResult EvaluateDataset(nn::Network& net, std::span<const float> params,
-                                const data::Dataset& dataset,
-                                std::size_t max_samples) {
-  // A training replica arrives here with its arena pinned to the training
-  // batch's high-water; eval slices are far larger, so let the short
-  // region grow again for this terminal pass.
-  if (net.ArenaEnabled() && net.ComputeArena().ExactMode()) {
-    net.ComputeArena().Relax();
+namespace {
+
+// Evaluations run in slices of at most this many samples, which bounds
+// per-batch memory for sequence datasets.
+constexpr std::size_t kSliceSamples = 512;
+
+struct Slice {
+  const data::ShardView* view;
+  std::size_t start;
+  std::size_t count;
+};
+
+void AppendSlices(const data::ShardView& view, std::size_t limit,
+                  std::vector<Slice>* slices) {
+  for (std::size_t start = 0; start < limit; start += kSliceSamples) {
+    slices->push_back({&view, start, std::min(kSliceSamples, limit - start)});
   }
-  net.SetParamsFrom(params);
-  // Evaluate in slices to bound per-batch memory for sequence datasets;
-  // slicing goes through a zero-copy view, no scratch index vector.
-  const data::ShardView view = data::ShardView::All(dataset);
+}
+
+// Evaluates `params` on every slice, dealing the slices round-robin to the
+// replicas (the first on this thread, each other one on a thread of its
+// own), and returns the per-slice results in slice order.
+std::vector<nn::BatchResult> EvaluateSlices(
+    std::span<nn::Network* const> replicas, std::span<const float> params,
+    std::span<const Slice> slices) {
+  for (nn::Network* net : replicas) {
+    // A training replica arrives with its arena pinned to the training
+    // batch's high-water; eval slices may be far larger, so let the short
+    // region grow again for this terminal pass.
+    if (net->ArenaEnabled() && net->ComputeArena().ExactMode()) {
+      net->ComputeArena().Relax();
+    }
+    net->SetParamsFrom(params);
+  }
+  std::vector<nn::BatchResult> parts(slices.size());
+  auto deal = [&](std::size_t r) {
+    for (std::size_t i = r; i < slices.size(); i += replicas.size()) {
+      const Slice& slice = slices[i];
+      parts[i] = replicas[r]->Evaluate(
+          slice.view->MakeBatchRange(slice.start, slice.count));
+    }
+  };
+  std::vector<std::thread> helpers;
+  for (std::size_t r = 1; r < replicas.size(); ++r) {
+    helpers.emplace_back(deal, r);
+  }
+  deal(0);
+  for (std::thread& helper : helpers) helper.join();
+  return parts;
+}
+
+// Sums per-slice results in slice order, the loss weighted by sample count.
+// The order is fixed, so the bits do not depend on which replica evaluated
+// which slice.
+nn::BatchResult Fold(std::span<const nn::BatchResult> parts) {
   nn::BatchResult total;
-  const std::size_t limit = max_samples > 0
-                                ? std::min(max_samples, dataset.Size())
-                                : dataset.Size();
-  const std::size_t slice = 512;
   double loss_weighted = 0.0;
-  for (std::size_t start = 0; start < limit; start += slice) {
-    const std::size_t end = std::min(start + slice, limit);
-    nn::BatchResult r = net.Evaluate(view.MakeBatchRange(start, end - start));
+  for (const nn::BatchResult& r : parts) {
     total.correct += r.correct;
     total.total += r.total;
     loss_weighted += r.loss * static_cast<double>(r.total);
@@ -91,8 +128,39 @@ nn::BatchResult EvaluateDataset(nn::Network& net, std::span<const float> params,
   return total;
 }
 
-nn::BatchResult EvalMonitor::FullEval(std::span<const float> params) {
-  return EvaluateDataset(*net_, params, val_.Owner());
+}  // namespace
+
+nn::BatchResult EvaluateDataset(nn::Network& net, std::span<const float> params,
+                                const data::Dataset& dataset,
+                                std::size_t max_samples) {
+  const data::ShardView view = data::ShardView::All(dataset);
+  std::vector<Slice> slices;
+  AppendSlices(view,
+               max_samples > 0 ? std::min(max_samples, dataset.Size())
+                               : dataset.Size(),
+               &slices);
+  nn::Network* const replica[] = {&net};
+  return Fold(EvaluateSlices(replica, params, slices));
+}
+
+void EvalMonitor::FinalEval(nn::Network& replica,
+                            const data::Dataset& train_data,
+                            TrainResult* result) {
+  const data::ShardView train = data::ShardView::All(train_data);
+  std::vector<Slice> slices;
+  AppendSlices(val_, val_.Size(), &slices);
+  const std::size_t val_slices = slices.size();
+  AppendSlices(train, std::min<std::size_t>(2048, train.Size()), &slices);
+  // Exactly two replicas: a third would hold a third evaluation arena (see
+  // DESIGN.md, "Final evaluation").
+  nn::Network* const replicas[] = {net_.get(), &replica};
+  const std::vector<nn::BatchResult> parts =
+      EvaluateSlices(replicas, result->final_params, slices);
+  const std::span<const nn::BatchResult> all(parts);
+  const nn::BatchResult val = Fold(all.first(val_slices));
+  result->final_loss = val.loss;
+  result->final_accuracy = val.Accuracy();
+  result->final_train_loss = Fold(all.subspan(val_slices)).loss;
 }
 
 void EvalMonitor::Loop() {

@@ -953,12 +953,7 @@ TrainResult RunPartialCollectiveGroups(const TrainerConfig& config,
     }
   }
   result.final_params = final_params[reporter];
-  const nn::BatchResult final_eval = monitor.FullEval(result.final_params);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss =
-      EvaluateDataset(workers[0]->Net(), result.final_params, train_data, 2048)
-          .loss;
+  monitor.FinalEval(workers[0]->Net(), train_data, &result);
   return result;
 }
 

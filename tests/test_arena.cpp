@@ -410,7 +410,12 @@ TEST_P(SteadyState, TrainingIterationIsAllocationFree) {
 
   EXPECT_EQ(heap_delta, 0u) << "steady-state iteration hit the heap";
   EXPECT_EQ(stats.chunk_allocs, chunks_before) << "arena grew past warm-up";
-  EXPECT_EQ(stats.resets, resets_before + 5) << "one scratch reset per step";
+  // A sequence model opens one compute scope per sequence (see
+  // Network::ComputeScope); a dense batch is one scope.
+  const std::size_t scopes =
+      batch.sequences.empty() ? 1 : batch.sequences.size();
+  EXPECT_EQ(stats.resets, resets_before + 5 * scopes)
+      << "one scratch reset per compute scope";
   EXPECT_GT(stats.short_high_water, 0u);
 }
 
@@ -436,13 +441,40 @@ TEST_P(SteadyState, ReserveExactPlansModelCapacity) {
   EXPECT_NO_THROW(net->ForwardBackward(batch));
   EXPECT_NO_THROW(net->Evaluate(batch));
   if (GetParam() != std::string("mlp")) {
-    // A much larger batch exceeds the planned capacity: the arena must
-    // reject it rather than silently grow.
+    // Scratch is one sequence deep, so the plan covers the batch's longest
+    // sequence; a larger batch holding a longer one exceeds it, and the
+    // arena must reject it rather than silently grow.
     const Batch oversized = SequenceBatch(64, 8, 4, 22);
     EXPECT_THROW(net->ForwardBackward(oversized), std::bad_alloc);
     // The step scope still reset scratch during unwind; planned-size work
     // keeps running afterwards.
     EXPECT_NO_THROW(net->ForwardBackward(batch));
+  }
+}
+
+// Nothing a sequence allocates outlives its own forward and backward pass,
+// so a batch of B copies of one sequence needs the scratch of one copy —
+// in training and in evaluation alike.
+TEST(SequenceScratch, IsOneSequenceDeep) {
+  const Batch one = SequenceBatch(1, 8, 4, 23);
+  for (const char* kind : {"lstm", "deep-lstm", "transformer", "attention"}) {
+    for (bool train : {true, false}) {
+      auto high_water = [&](std::size_t copies) {
+        Batch batch;
+        batch.sequences.assign(copies, one.sequences[0]);
+        batch.labels.assign(copies, one.labels[0]);
+        auto net = MakeModel(kind);
+        if (train) {
+          net->ForwardBackward(batch);
+        } else {
+          net->Evaluate(batch);
+        }
+        return net->ComputeArena().Stats().short_high_water;
+      };
+      const std::size_t single = high_water(1);
+      EXPECT_GT(single, 0u) << kind;
+      EXPECT_EQ(high_water(16), single) << kind << " train=" << train;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include "rna/baselines/baselines.hpp"
 #include "rna/core/rna.hpp"
 #include "rna/data/generators.hpp"
+#include "rna/obs/metrics.hpp"
 #include "rna/train/monitor.hpp"
 #include "rna/train/partial_engine.hpp"
 
@@ -140,6 +141,27 @@ TEST(Integration, HierarchicalRnaLearns) {
   c.calibration_iters = 4;
   const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
   ExpectLearned(r, 0.75);
+}
+
+// Free-running rna-h times all workers at once; two speed tiers must still
+// split into exactly two groups. The ζ > v rule splits a 2+2 world only
+// when the slow tier is over about 3× the fast one. Compute and sleep
+// overshoot add the same cost to both tiers, up to about 5 ms a batch under
+// TSan on an oversubscribed host; at 32 vs 2 ms a batch the split holds up
+// to 13 ms. Sixteen calibration batches keep one descheduled batch from
+// splitting a tier.
+TEST(Integration, ConcurrentCalibrationFindsBothSpeedTiers) {
+  Scenario s = MakeMlpScenario();
+  TrainerConfig c = BaseConfig(Protocol::kRnaHierarchical, 10);
+  c.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+      0.002, std::vector<double>{0.0, 0.0, 0.030, 0.030});
+  c.calibration_iters = 16;
+  obs::MetricsRegistry metrics;
+  obs::SetActiveMetrics(&metrics);
+  const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
+  obs::SetActiveMetrics(nullptr);
+  EXPECT_EQ(metrics.GaugeValue("hier.groups"), 2.0);
+  EXPECT_GT(r.rounds, 0u);
 }
 
 TEST(Integration, RnaStopsAtTargetLoss) {

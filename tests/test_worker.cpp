@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "rna/data/generators.hpp"
@@ -247,6 +248,62 @@ TEST(EvaluateDataset, RelaxesPinnedTrainingReplica) {
   const nn::BatchResult r = EvaluateDataset(worker.Net(), params, ds);
   EXPECT_EQ(r.total, 64u);
   EXPECT_FALSE(worker.Net().ComputeArena().ExactMode());
+}
+
+// The final evaluation deals its 512-sample slices alternately to the
+// monitor's replica and a pinned training replica on a second thread; every
+// figure must equal the serial EvaluateDataset bit for bit.
+void ExpectFinalEvalIsSerialBitForBit(const ModelFactory& factory,
+                                      const data::Dataset& train,
+                                      const data::Dataset& val) {
+  TrainerConfig config = SmallConfig(1);
+  WorkerContext worker(0, config, factory, train);
+  TrainResult result;
+  result.final_params = InitialParams(config, factory);
+  common::Rng rng(17);
+  for (float& p : result.final_params) {
+    p += static_cast<float>(rng.Normal(0, 0.3));
+  }
+  std::vector<float> grad(worker.Dim());
+  worker.ComputeGradient(result.final_params, grad);  // pins its arena
+  ASSERT_TRUE(worker.Net().ComputeArena().ExactMode());
+
+  EvalMonitor monitor(config, factory, val);
+  monitor.FinalEval(worker.Net(), train, &result);
+
+  auto serial = factory(config.model_seed);
+  const nn::BatchResult v = EvaluateDataset(*serial, result.final_params, val);
+  const nn::BatchResult t =
+      EvaluateDataset(*serial, result.final_params, train, 2048);
+  EXPECT_EQ(v.total, val.Size());
+  EXPECT_EQ(t.total, std::min<std::size_t>(2048, train.Size()));
+  // final_accuracy is correct / total over the same total, so equal bits
+  // mean equal `correct`.
+  const double accuracy = v.Accuracy();
+  EXPECT_EQ(std::memcmp(&result.final_loss, &v.loss, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&result.final_accuracy, &accuracy, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&result.final_train_loss, &t.loss, sizeof(double)), 0);
+}
+
+TEST(FinalEval, DenseMatchesSerialBitForBit) {
+  // 1100 validation samples end in a partial slice; 2500 training samples
+  // exceed the 2048 cap.
+  const data::Dataset train = data::MakeGaussianClusters(2500, 4, 2, 0.8, 31);
+  const data::Dataset val = data::MakeGaussianClusters(1100, 4, 2, 0.8, 32);
+  ExpectFinalEvalIsSerialBitForBit(MlpFactory(), train, val);
+}
+
+TEST(FinalEval, SequenceMatchesSerialBitForBit) {
+  data::LengthModel lengths{.mean = 8, .stddev = 4, .min_len = 2,
+                            .max_len = 16};
+  const data::Dataset train =
+      data::MakeSequenceDataset(600, 3, 2, lengths, 0.5, 33);
+  const data::Dataset val =
+      data::MakeSequenceDataset(700, 3, 2, lengths, 0.5, 34);
+  ModelFactory lstm = [](std::uint64_t seed) {
+    return std::make_unique<nn::LstmClassifier>(3, 4, 2, seed, 0.0);
+  };
+  ExpectFinalEvalIsSerialBitForBit(lstm, train, val);
 }
 
 TEST(WorkerContext, SteadyStateConsumesPrefetchedBatches) {
