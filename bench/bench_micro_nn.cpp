@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -29,6 +30,8 @@
 #include "bench_json.hpp"
 #include "rna/common/rng.hpp"
 #include "rna/common/simd.hpp"
+#include "rna/data/batch_generator.hpp"
+#include "rna/data/generators.hpp"
 #include "rna/nn/network.hpp"
 #include "rna/nn/optimizer.hpp"
 #include "rna/tensor/tensor.hpp"
@@ -91,10 +94,29 @@ std::unique_ptr<nn::Network> MakeModel(const std::string& kind) {
   if (kind == "transformer") {
     return std::make_unique<nn::TransformerClassifier>(16, 32, 4, 8, 7);
   }
+  if (kind == "transformer-bench") {
+    return std::make_unique<nn::TransformerClassifier>(6, 32, 2, 6, 7);
+  }
   return std::make_unique<nn::AttentionClassifier>(16, 24, 8, 7);
 }
 
-nn::Batch MakeBatchFor(const std::string& kind) {
+/// The batches one TrainLoop cycles through: one fixed batch, except for
+/// "transformer-bench", which replays 32 length-bucketed batches of 8 from
+/// perfbench's imbalance-transformer data (sentence lengths, noise 3).
+std::vector<nn::Batch> MakeBatchesFor(const std::string& kind) {
+  std::vector<nn::Batch> batches;
+  if (kind == "transformer-bench") {
+    const data::Dataset all = data::MakeSequenceDataset(
+        1920, 6, 6, data::SentenceLengths(), 3.0, 4);
+    data::BatchGenerator gen(
+        data::ShardView::Strided(all, 0, 1),
+        {.batch_size = 8,
+         .seed = 21,
+         .mode = data::SamplingMode::kLengthBucketed,
+         .prefetch_depth = 0});
+    for (int i = 0; i < 32; ++i) batches.push_back(gen.Next());
+    return batches;
+  }
   common::Rng rng(21);
   nn::Batch b;
   if (kind == "mlp") {
@@ -103,7 +125,8 @@ nn::Batch MakeBatchFor(const std::string& kind) {
     for (int i = 0; i < 32; ++i) {
       b.labels.push_back(static_cast<std::int32_t>(rng.UniformInt(10)));
     }
-    return b;
+    batches.push_back(std::move(b));
+    return batches;
   }
   for (int i = 0; i < 8; ++i) {
     const std::size_t len = 3 + rng.UniformInt(6);
@@ -112,14 +135,15 @@ nn::Batch MakeBatchFor(const std::string& kind) {
     b.sequences.push_back(std::move(seq));
     b.labels.push_back(static_cast<std::int32_t>(rng.UniformInt(8)));
   }
-  return b;
+  batches.push_back(std::move(b));
+  return batches;
 }
 
 /// One full training iteration on the flat staging-buffer path — the same
 /// sequence every synchronization protocol drives per step.
 struct TrainLoop {
   explicit TrainLoop(const std::string& kind)
-      : net(MakeModel(kind)), batch(MakeBatchFor(kind)) {
+      : net(MakeModel(kind)), batches(MakeBatchesFor(kind)) {
     const std::size_t dim = net->ParamCount();
     params.resize(dim);
     grad.resize(dim);
@@ -129,32 +153,35 @@ struct TrainLoop {
 
   void Step() {
     net->SetParamsFrom(params);
-    net->ForwardBackward(batch);
+    net->ForwardBackward(batches[step++ % batches.size()]);
     net->CopyGradsTo(grad);
     opt->Step(params, grad);
   }
 
   std::unique_ptr<nn::Network> net;
-  nn::Batch batch;
+  std::vector<nn::Batch> batches;
+  std::size_t step = 0;
   std::vector<float> params, grad;
   std::unique_ptr<nn::SgdMomentum> opt;
 };
 
-const char* kModelKinds[] = {"mlp", "lstm", "deep-lstm", "transformer",
-                             "attention"};
+const char* kModelKinds[] = {"mlp",       "lstm",
+                             "deep-lstm", "transformer",
+                             "attention", "transformer-bench"};
 
 // ------------------------------------------- google-benchmark sweep mode
 
 void BM_TrainStep(benchmark::State& state) {
   TrainLoop loop(kModelKinds[state.range(0)]);
-  loop.Step();  // warm the arena to its high water
+  // Warm the arena to its high water over every batch.
+  for (std::size_t i = 0; i < loop.batches.size(); ++i) loop.Step();
   for (auto _ : state) {
     loop.Step();
     benchmark::DoNotOptimize(loop.params.data());
   }
   state.SetLabel(kModelKinds[state.range(0)]);
 }
-BENCHMARK(BM_TrainStep)->DenseRange(0, 4);
+BENCHMARK(BM_TrainStep)->DenseRange(0, 5);
 
 // range(1): 0 = kAuto (widest kernels), 1 = scalar, 2 = 16-byte kernels.
 void BM_BlockedMatMul(benchmark::State& state) {
@@ -190,10 +217,11 @@ struct MatShape {
 };
 
 /// FLOP/s of one matmul variant at `shape` under the given dispatch. Small
-/// shapes repeat until they have done the work of 20 calls at 128³.
+/// shapes repeat until they have done the work of 20 calls at 128³. `relu`
+/// zeroes A's negative entries, about half of them, as a ReLU layer does.
 template <typename Kernel>
 double MeasureMatMulFlops(common::simd::Dispatch dispatch, MatShape shape,
-                          Kernel&& kernel) {
+                          Kernel&& kernel, bool relu) {
   constexpr int kWarmup = 3;
   constexpr double kMinFlops = 20.0 * 2 * 128 * 128 * 128;
   const auto [m, k, n] = shape;
@@ -204,6 +232,9 @@ double MeasureMatMulFlops(common::simd::Dispatch dispatch, MatShape shape,
   std::vector<float> a(m * k), b(k * n), c(m * n);
   for (auto& x : a) x = static_cast<float>(rng.Normal(0, 1));
   for (auto& x : b) x = static_cast<float>(rng.Normal(0, 1));
+  if (relu) {
+    for (auto& x : a) x = x > 0.0f ? x : 0.0f;
+  }
   for (int i = 0; i < kWarmup; ++i) kernel(a.data(), b.data(), c.data(), shape);
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) kernel(a.data(), b.data(), c.data(), shape);
@@ -216,16 +247,16 @@ double MeasureMatMulFlops(common::simd::Dispatch dispatch, MatShape shape,
 
 template <typename Kernel>
 benchutil::BenchRow MatMulRow(const std::string& label, MatShape shape,
-                              Kernel&& kernel) {
+                              Kernel&& kernel, bool relu = false) {
   benchutil::BenchRow row;
   row.label = label;
   const double wide =
-      MeasureMatMulFlops(common::simd::Dispatch::kAuto, shape, kernel);
+      MeasureMatMulFlops(common::simd::Dispatch::kAuto, shape, kernel, relu);
   const double narrow =
-      MeasureMatMulFlops(common::simd::Dispatch::kScalar, shape, kernel);
+      MeasureMatMulFlops(common::simd::Dispatch::kScalar, shape, kernel, relu);
   row.values["flops_auto_per_s"] = wide;
-  row.values["flops_vec16_per_s"] =
-      MeasureMatMulFlops(common::simd::Dispatch::kVec16, shape, kernel);
+  row.values["flops_vec16_per_s"] = MeasureMatMulFlops(
+      common::simd::Dispatch::kVec16, shape, kernel, relu);
   row.values["flops_scalar_per_s"] = narrow;
   row.values["speedup"] = wide / narrow;
   return row;
@@ -243,23 +274,28 @@ void MatMulTNKernel(const float* a, const float* b, float* c, MatShape s) {
 
 benchutil::BenchRow TrainStepRow(const std::string& kind) {
   constexpr int kWarmup = 3;
-  constexpr int kIters = 30;
+  constexpr std::size_t kIters = 30;
   benchutil::BenchRow row;
   row.label = "train_step_" + kind;
   TrainLoop loop(kind);
-  for (int i = 0; i < kWarmup; ++i) loop.Step();
+  const std::size_t warmup =
+      std::max<std::size_t>(kWarmup, loop.batches.size());
+  for (std::size_t i = 0; i < warmup; ++i) loop.Step();
 
+  // Whole cycles over the batches, so every length counts equally.
+  const std::size_t cycle = loop.batches.size();
+  const std::size_t iters = (kIters + cycle - 1) / cycle * cycle;
   const std::size_t heap_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) loop.Step();
+  for (std::size_t i = 0; i < iters; ++i) loop.Step();
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const std::size_t heap_delta =
       g_heap_allocs.load(std::memory_order_relaxed) - heap_before;
 
-  row.values["steps_per_s"] = kIters / secs;
+  row.values["steps_per_s"] = static_cast<double>(iters) / secs;
   // Total heap allocations across all measured steps — the gate pins this
   // to an absolute ceiling of zero.
   row.values["steady_heap_allocs"] = static_cast<double>(heap_delta);
@@ -290,6 +326,11 @@ int JsonMain(const std::string& path) {
       MatMulRow("matmul_nt_24x16x24", {24, 16, 24}, MatMulNTKernel));
   rows.push_back(
       MatMulRow("matmul_nt_120x16x120", {120, 16, 120}, MatMulNTKernel));
+  // A hidden layer of straggler-rna's MLP on ReLU output: about half of A
+  // is zero, so the kernel runs its per-row skip path after a scan that
+  // stops at the first zero. The attention rows above run the dense path.
+  rows.push_back(MatMulRow("matmul_nn_relu_32x48x48", {32, 48, 48},
+                           MatMulNNKernel, /*relu=*/true));
   for (const char* kind : kModelKinds) {
     rows.push_back(TrainStepRow(kind));
   }

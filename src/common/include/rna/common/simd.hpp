@@ -48,7 +48,9 @@
 //     exactly like the reference. alpha·a == 0 (either sign) skips that k,
 //     decided per row: in a tile the zero row skips while its neighbours
 //     add. The skip is visible bitwise (0·Inf = NaN and -0 + 0·b = +0), so
-//     tests/test_tensor.cpp pins it.
+//     tests/test_tensor.cpp pins it. A vectorized scan of alpha·A picks a
+//     branch-free instantiation of the same kernel when no product is ±0,
+//     and alpha = 1 drops the alpha·a multiply; neither changes a bit.
 //   * NT streams several B rows per A row. Each dot product accumulates in
 //     8 lanes (two 4-wide accumulators at 16 bytes, one 8-wide at 32)
 //     folded by the fixed pairwise tree ReduceLanes, which the reference
@@ -56,6 +58,10 @@
 //     transposed sums; the 8-column tile (32 bytes) runs the whole tree on
 //     transposed sums as full-vector adds: lo+hi halves, two
 //     pairwise-adjacent levels, then one permute back to column order.
+//     With 4+ rows and k ≤ 32 (attention scores and input gradients), the
+//     columns instead run as panels: B's next 8 (or 4) columns copied into
+//     a k-major block, so one vector holds one lane of 8 (4) dot products
+//     and the tree is plain vertical adds.
 //
 // Measured GFLOP/s, median of 3 `bench_micro_nn --json-out` runs, GCC 12,
 // 4-vCPU Intel Xeon VM with AVX2, at -O2 (RelWithDebInfo) and -O3

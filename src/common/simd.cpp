@@ -1,6 +1,8 @@
 #include "rna/common/simd.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <type_traits>
 
 // The 32-byte instantiation needs an x86-64 compiler that can target AVX2
 // per function and knows the generic two-vector shuffle.
@@ -83,13 +85,34 @@ constexpr std::size_t kTileCols = 16;
 template <typename V>
 constexpr std::size_t kTileRows = 8 * kLanesOf<V> / kTileCols;
 
+// x == ±0 as one integer test: `x == 0.0f` compiles to two branches (the
+// unordered one for NaN), and on ReLU-sparse A the skip mispredicts often.
+RNA_SIMD_INLINE bool IsZero(float x) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return (bits << 1) == 0;
+}
+
+// alpha·x, or x itself in the kUnit mode (see StridedTile).
+template <bool kUnit>
+RNA_SIMD_INLINE float ScaledA(float alpha, float x) {
+  if constexpr (kUnit) {
+    return x;
+  } else {
+    return alpha * x;
+  }
+}
+
 // C(R × 16) += alpha · A(R × k) · B(k × 16), where A(r, kk) is
 // a[r*si + kk*sk] (NN: si = k, sk = 1; TN: si = 1, sk = m). The C tile stays
 // in registers for the whole k loop; each C element still receives one
 // `+= av * b` per k in ascending order, and a row whose av is zero skips
 // that k while the other rows of the tile add — the scalar reference's
-// exact operation sequence.
-template <typename V, std::size_t R>
+// exact operation sequence. Two modes drop work that cannot change a bit:
+// kDense drops the skip, because the caller has proved that no av is ±0;
+// kUnit drops the multiply, because alpha is 1 and 1·a is a (a signalling
+// NaN turns quiet one multiply later instead).
+template <typename V, std::size_t R, bool kDense, bool kUnit>
 RNA_SIMD_INLINE void StridedTile(const float* a, std::size_t si,
                                  std::size_t sk, const float* b, float* c,
                                  std::size_t k, std::size_t n, float alpha) {
@@ -110,8 +133,10 @@ RNA_SIMD_INLINE void StridedTile(const float* a, std::size_t si,
     for (std::size_t v = 0; v < kVecs; ++v) Load(bv[v], brow + v * kL);
 #pragma GCC unroll 4
     for (std::size_t r = 0; r < R; ++r) {
-      const float av = alpha * a[r * si + kk * sk];
-      if (av == 0.0f) continue;
+      const float av = ScaledA<kUnit>(alpha, a[r * si + kk * sk]);
+      if constexpr (!kDense) {
+        if (IsZero(av)) continue;
+      }
 #pragma GCC unroll 4
       for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += bv[v] * av;
     }
@@ -130,10 +155,12 @@ RNA_SIMD_INLINE void StridedTile(const float* a, std::size_t si,
 // row, a full vector, 4 wide and one at a time. The remainder makes one
 // skip decision per (i, kk) for all its columns, as the reference does:
 // with ReLU-sparse A that branch is unpredictable, and taking it once per
-// column group made n = 6 layers 2.7× slower.
-template <typename V>
-RNA_SIMD_INLINE void TiledMatMul(Width<V>, const float* a, std::size_t si,
-                                 std::size_t sk, const float* b, float* c,
+// column group made n = 6 layers 2.7× slower. The modes: see StridedTile.
+template <typename V, bool kDense, bool kUnit>
+RNA_SIMD_INLINE void TiledMatMul(Width<V>, std::bool_constant<kDense>,
+                                 std::bool_constant<kUnit>, const float* a,
+                                 std::size_t si, std::size_t sk,
+                                 const float* b, float* c,
                                  std::size_t m, std::size_t k, std::size_t n,
                                  float alpha, float beta) {
   constexpr std::size_t kL = kLanesOf<V>;
@@ -143,27 +170,29 @@ RNA_SIMD_INLINE void TiledMatMul(Width<V>, const float* a, std::size_t si,
   for (std::size_t j = 0; j < tiled; j += kTileCols) {
     std::size_t i = 0;
     for (; i + kRows <= m; i += kRows) {
-      StridedTile<V, kRows>(a + i * si, si, sk, b + j, c + i * n + j, k, n,
-                            alpha);
+      StridedTile<V, kRows, kDense, kUnit>(a + i * si, si, sk, b + j,
+                                           c + i * n + j, k, n, alpha);
     }
     if constexpr (kRows > 2) {
       if (i + 2 <= m) {
-        StridedTile<V, 2>(a + i * si, si, sk, b + j, c + i * n + j, k, n,
-                          alpha);
+        StridedTile<V, 2, kDense, kUnit>(a + i * si, si, sk, b + j,
+                                         c + i * n + j, k, n, alpha);
         i += 2;
       }
     }
     if (i < m) {
-      StridedTile<V, 1>(a + i * si, si, sk, b + j, c + i * n + j, k, n,
-                        alpha);
+      StridedTile<V, 1, kDense, kUnit>(a + i * si, si, sk, b + j,
+                                       c + i * n + j, k, n, alpha);
     }
   }
   if (tiled == n) return;
   for (std::size_t i = 0; i < m; ++i) {
     float* crow = c + i * n;
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = alpha * a[i * si + kk * sk];
-      if (av == 0.0f) continue;
+      const float av = ScaledA<kUnit>(alpha, a[i * si + kk * sk]);
+      if constexpr (!kDense) {
+        if (IsZero(av)) continue;
+      }
       const float* brow = b + kk * n;
       std::size_t j = tiled;
       for (; j + kL <= n; j += kL) {
@@ -182,6 +211,68 @@ RNA_SIMD_INLINE void TiledMatMul(Width<V>, const float* a, std::size_t si,
       }
       for (; j < n; ++j) crow[j] += av * brow[j];
     }
+  }
+}
+
+// True when no alpha·a[i], i < count, is ±0, so the NN/TN skip can never
+// fire. A dense A (attention activations, raw inputs) then runs the tiles
+// without it: GCC lays the skip out as a taken branch per row and k, and
+// the 24×32×16 NN took 0.78-0.84 µs with it, 0.63-0.65 µs without, and
+// 0.50-0.54 µs without the alpha multiply too (AVX2, GCC 12 -O3, one core
+// of a 4-vCPU Xeon VM). The scan forms each product exactly as the kernel
+// does, and a ReLU-sparse A leaves it in its first 8 vectors.
+template <typename V, bool kUnit>
+RNA_SIMD_INLINE bool NoZeroProducts(Width<V>, std::bool_constant<kUnit>,
+                                    const float* a, std::size_t count,
+                                    float alpha) {
+  constexpr std::size_t kL = kLanesOf<V>;
+  using Mask = decltype(V{} == V{});
+  std::size_t i = 0;
+  for (; i + 8 * kL <= count; i += 8 * kL) {
+    Mask zero{};
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < 8; ++v) {
+      V x;
+      Load(x, a + i + v * kL);
+      if constexpr (kUnit) {
+        zero |= x == 0.0f;
+      } else {
+        zero |= x * alpha == 0.0f;
+      }
+    }
+    std::uint64_t bits[sizeof(Mask) / 8];
+    std::memcpy(bits, &zero, sizeof(Mask));
+    std::uint64_t any = 0;
+#pragma GCC unroll 4
+    for (std::uint64_t word : bits) any |= word;
+    if (any != 0) return false;
+  }
+  for (; i < count; ++i) {
+    if (ScaledA<kUnit>(alpha, a[i]) == 0.0f) return false;
+  }
+  return true;
+}
+
+// NN and TN behind one scan. A is contiguous either way: m×k for NN, k×m
+// for TN.
+template <typename V>
+RNA_SIMD_INLINE void StridedMatMul(Width<V> w, const float* a, std::size_t si,
+                                   std::size_t sk, const float* b, float* c,
+                                   std::size_t m, std::size_t k,
+                                   std::size_t n, float alpha, float beta) {
+  const auto run = [&](auto unit) {
+    if (NoZeroProducts(w, unit, a, m * k, alpha)) {
+      TiledMatMul(w, std::true_type{}, unit, a, si, sk, b, c, m, k, n, alpha,
+                  beta);
+    } else {
+      TiledMatMul(w, std::false_type{}, unit, a, si, sk, b, c, m, k, n, alpha,
+                  beta);
+    }
+  };
+  if (alpha == 1.0f) {
+    run(std::true_type{});
+  } else {
+    run(std::false_type{});
   }
 }
 
@@ -289,18 +380,75 @@ RNA_SIMD_INLINE void DotTile(const float* arow, const float* b, float* crow,
   }
 }
 
-// The NT kernel: per A row, 8-column tiles (32 bytes only), then 4-column
-// tiles, then single columns.
+// NT panels: when several A rows share B, B's columns j..j+kL are first
+// copied into a k × kL panel (panel[kk*kL + w] = B(j+w, kk)), so one vector
+// holds the same k index of kL dot products. acc[l] then carries lane l of
+// ReduceLanes for all kL columns, the tree runs as 7 vertical adds, and the
+// k % 8 tail and `c += alpha·s` follow as in the reference. Per k this is
+// one broadcast, one load, one multiply and one add per kL outputs, with no
+// shuffles; the copy costs k·kL moves per m·k·kL multiply-adds.
+constexpr std::size_t kPanelMinRows = 4;
+constexpr std::size_t kPanelMaxK = 32;
+
+template <typename V>
+RNA_SIMD_INLINE void PanelTileNT(const float* a, const float* panel, float* c,
+                                 std::size_t m, std::size_t k, std::size_t n,
+                                 float alpha) {
+  constexpr std::size_t kL = kLanesOf<V>;
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    V acc[8];
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < 8; ++l) acc[l] = V{};
+    std::size_t kk = 0;
+    for (; kk + 8 <= k; kk += 8) {
+#pragma GCC unroll 8
+      for (std::size_t l = 0; l < 8; ++l) {
+        V bv;
+        Load(bv, panel + (kk + l) * kL);
+        acc[l] += bv * arow[kk + l];
+      }
+    }
+    V sum = ((acc[0] + acc[4]) + (acc[1] + acc[5])) +
+            ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+    for (; kk < k; ++kk) {
+      V bv;
+      Load(bv, panel + kk * kL);
+      sum += bv * arow[kk];
+    }
+    V cv;
+    Load(cv, c + i * n);
+    Store(c + i * n, cv + sum * alpha);
+  }
+}
+
+// The NT kernel: kL-column panels over all rows when m ≥ kPanelMinRows and
+// the panel fits (k ≤ kPanelMaxK); the other columns per A row as
+// 8-column tiles (32 bytes only), then 4-column tiles, then single columns.
 template <typename V>
 RNA_SIMD_INLINE void TiledMatMulNT(Width<V>, const float* a, const float* b,
                                    float* c, std::size_t m, std::size_t k,
                                    std::size_t n, float alpha, float beta) {
+  constexpr std::size_t kL = kLanesOf<V>;
   ApplyBeta(c, m * n, beta);
+  std::size_t paneled = 0;
+  if (m >= kPanelMinRows && k <= kPanelMaxK) {
+    float panel[kPanelMaxK * kL];
+    for (; paneled + kL <= n; paneled += kL) {
+      for (std::size_t kk = 0; kk < k; ++kk) {
+#pragma GCC unroll 8
+        for (std::size_t w = 0; w < kL; ++w) {
+          panel[kk * kL + w] = b[(paneled + w) * k + kk];
+        }
+      }
+      PanelTileNT<V>(a, panel, c + paneled, m, k, n, alpha);
+    }
+  }
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
-    std::size_t j = 0;
-    if constexpr (kLanesOf<V> == 8) {
+    std::size_t j = paneled;
+    if constexpr (kL == 8) {
       for (; j + 8 <= n; j += 8) {
         DotTile<V, 8>(arow, b + j * k, crow + j, k, alpha);
       }
@@ -319,7 +467,7 @@ RNA_SIMD_INLINE void TiledMatMulNT(Width<V>, const float* a, const float* b,
 void StridedMatMul16(const float* a, std::size_t si, std::size_t sk,
                      const float* b, float* c, std::size_t m, std::size_t k,
                      std::size_t n, float alpha, float beta) {
-  TiledMatMul(Width<V4f>{}, a, si, sk, b, c, m, k, n, alpha, beta);
+  StridedMatMul(Width<V4f>{}, a, si, sk, b, c, m, k, n, alpha, beta);
 }
 
 void DotMatMul16(const float* a, const float* b, float* c, std::size_t m,
@@ -331,7 +479,7 @@ void DotMatMul16(const float* a, const float* b, float* c, std::size_t m,
 __attribute__((target("avx2"))) void StridedMatMul32(
     const float* a, std::size_t si, std::size_t sk, const float* b, float* c,
     std::size_t m, std::size_t k, std::size_t n, float alpha, float beta) {
-  TiledMatMul(Width<V8f>{}, a, si, sk, b, c, m, k, n, alpha, beta);
+  StridedMatMul(Width<V8f>{}, a, si, sk, b, c, m, k, n, alpha, beta);
 }
 
 __attribute__((target("avx2"))) void DotMatMul32(

@@ -67,16 +67,7 @@ Tensor AttentionBlock::Backward(const Tensor& dy) {
 
   // Row-softmax backward: dS_i = P_i ⊙ (dP_i − ⟨dP_i, P_i⟩).
   Tensor ds({steps, steps});
-  for (std::size_t i = 0; i < steps; ++i) {
-    const float* prow = attn_.Data() + i * steps;
-    const float* dprow = dp.Data() + i * steps;
-    double inner = 0.0;
-    for (std::size_t j = 0; j < steps; ++j)
-      inner += static_cast<double>(dprow[j]) * prow[j];
-    float* dsrow = ds.Data() + i * steps;
-    for (std::size_t j = 0; j < steps; ++j)
-      dsrow[j] = prow[j] * (dprow[j] - static_cast<float>(inner));
-  }
+  tensor::SoftmaxRowsBackward(attn_, dp, ds);
 
   // S = (Q·Kᵀ)/√A  →  dQ = dS·K/√A, dK = dSᵀ·Q/√A.
   Tensor dq({steps, attn_dim_});

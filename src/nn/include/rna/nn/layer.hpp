@@ -44,6 +44,9 @@ class Dense : public Layer {
 
   Tensor Forward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
+  /// Backward without the input gradient: accumulates dW and db only, for
+  /// a first layer whose dX nobody reads.
+  void BackwardParams(const Tensor& dy);
   std::vector<Tensor*> Params() override { return {&w_, &b_}; }
   std::vector<Tensor*> Grads() override { return {&dw_, &db_}; }
 

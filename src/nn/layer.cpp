@@ -31,14 +31,19 @@ Tensor Dense::Forward(const Tensor& x) {
   return y;
 }
 
-Tensor Dense::Backward(const Tensor& dy) {
+void Dense::BackwardParams(const Tensor& dy) {
   RNA_CHECK_MSG(dy.Rows() == cached_input_.Rows() && dy.Cols() == out_,
                 "Dense backward shape mismatch");
-  // dW += Xᵀ·dY, db += column sums, dX = dY·Wᵀ.
+  // dW += Xᵀ·dY, db += column sums.
   tensor::MatMulTN(cached_input_, dy, dw_, 1.0f, 1.0f);
   Tensor col_sums({out_});
   tensor::SumRows(dy, col_sums.Flat());
   tensor::Axpy(1.0f, col_sums.Flat(), db_.Flat());
+}
+
+Tensor Dense::Backward(const Tensor& dy) {
+  BackwardParams(dy);
+  // dX = dY·Wᵀ.
   Tensor dx({cached_input_.Rows(), in_});
   tensor::MatMulNT(dy, w_, dx);
   return dx;

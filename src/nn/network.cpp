@@ -323,18 +323,19 @@ BatchResult TransformerClassifier::Run(const Batch& batch, bool train) {
     if (train) {
       tensor::Scale(lr.dlogits.Flat(), inv_batch);
       tensor::Tensor dpooled = head_.Backward(lr.dlogits);
+      // Un-pool: every step's row is dpooled / steps.
       tensor::Tensor dnormed({steps, model_dim});
       const float scale = 1.0f / static_cast<float>(steps);
-      for (std::size_t t = 0; t < steps; ++t) {
-        for (std::size_t i = 0; i < model_dim; ++i) {
-          dnormed.At(t, i) = dpooled[i] * scale;
-        }
+      float* drow = dnormed.Data();
+      for (std::size_t i = 0; i < model_dim; ++i) drow[i] = dpooled[i] * scale;
+      for (std::size_t t = 1; t < steps; ++t) {
+        std::copy(drow, drow + model_dim, drow + t * model_dim);
       }
       tensor::Tensor dresidual = norm_.Backward(dnormed);
       // Residual split: dL/dh0 = dresidual (skip path) + MHA backward.
       tensor::Tensor dh0 = mha_.Backward(dresidual);
       tensor::Axpy(1.0f, dresidual.Flat(), dh0.Flat());
-      proj_.Backward(dh0);
+      proj_.BackwardParams(dh0);  // the input x takes no gradient
     }
   }
   result.loss /= static_cast<double>(batch.labels.size());

@@ -3,8 +3,18 @@
 #include <cmath>
 
 #include "rna/common/check.hpp"
+#include "rna/common/simd.hpp"
 
 namespace rna::nn {
+
+// The double sums run row by row in their sequential order; only the
+// elementwise passes are vectorized, which rounds every element alike.
+#if RNA_SIMD_VECTOR_EXT
+using common::simd::detail::kLanes;
+using common::simd::detail::Load;
+using common::simd::detail::Store;
+using common::simd::detail::V4f;
+#endif
 
 LayerNorm::LayerNorm(std::size_t dim, float epsilon)
     : dim_(dim),
@@ -22,6 +32,8 @@ Tensor LayerNorm::Forward(const Tensor& x) {
   normalized_ = Tensor({rows, dim_});
   inv_std_ = Tensor({rows});
   Tensor y({rows, dim_});
+  const float* gain = gain_.Data();
+  const float* bias = bias_.Data();
   for (std::size_t r = 0; r < rows; ++r) {
     const float* row = x.Data() + r * dim_;
     double mean = 0.0;
@@ -35,11 +47,20 @@ Tensor LayerNorm::Forward(const Tensor& x) {
     var /= static_cast<double>(dim_);
     const auto inv = static_cast<float>(1.0 / std::sqrt(var + epsilon_));
     inv_std_[r] = inv;
+    const auto meanf = static_cast<float>(mean);
     float* nrow = normalized_.Data() + r * dim_;
     float* yrow = y.Data() + r * dim_;
-    for (std::size_t i = 0; i < dim_; ++i) {
-      nrow[i] = (row[i] - static_cast<float>(mean)) * inv;
-      yrow[i] = gain_[i] * nrow[i] + bias_[i];
+    std::size_t i = 0;
+#if RNA_SIMD_VECTOR_EXT
+    for (; i + kLanes <= dim_; i += kLanes) {
+      const V4f n = (Load(row + i) - meanf) * inv;
+      Store(nrow + i, n);
+      Store(yrow + i, Load(gain + i) * n + Load(bias + i));
+    }
+#endif
+    for (; i < dim_; ++i) {
+      nrow[i] = (row[i] - meanf) * inv;
+      yrow[i] = gain[i] * nrow[i] + bias[i];
     }
   }
   return y;
@@ -51,6 +72,9 @@ Tensor LayerNorm::Backward(const Tensor& dy) {
                 "LayerNorm backward shape mismatch");
   Tensor dx({rows, dim_});
   const auto n = static_cast<float>(dim_);
+  const float* gain = gain_.Data();
+  float* dgain = dgain_.Data();
+  float* dbias = dbias_.Data();
   for (std::size_t r = 0; r < rows; ++r) {
     const float* dyrow = dy.Data() + r * dim_;
     const float* nrow = normalized_.Data() + r * dim_;
@@ -58,17 +82,29 @@ Tensor LayerNorm::Backward(const Tensor& dy) {
     // dL/dn̂ = dy ⊙ γ; dx = (1/σ)(dn̂ − mean(dn̂) − n̂·mean(dn̂ ⊙ n̂)).
     double sum_dn = 0.0, sum_dn_n = 0.0;
     for (std::size_t i = 0; i < dim_; ++i) {
-      const float dn = dyrow[i] * gain_[i];
+      const float dn = dyrow[i] * gain[i];
       sum_dn += dn;
       sum_dn_n += static_cast<double>(dn) * nrow[i];
-      dgain_[i] += dyrow[i] * nrow[i];
-      dbias_[i] += dyrow[i];
     }
     const auto mean_dn = static_cast<float>(sum_dn / n);
     const auto mean_dn_n = static_cast<float>(sum_dn_n / n);
-    for (std::size_t i = 0; i < dim_; ++i) {
-      const float dn = dyrow[i] * gain_[i];
-      dxrow[i] = inv_std_[r] * (dn - mean_dn - nrow[i] * mean_dn_n);
+    const float inv = inv_std_[r];
+    std::size_t i = 0;
+#if RNA_SIMD_VECTOR_EXT
+    for (; i + kLanes <= dim_; i += kLanes) {
+      const V4f d = Load(dyrow + i);
+      const V4f nv = Load(nrow + i);
+      Store(dgain + i, Load(dgain + i) + d * nv);
+      Store(dbias + i, Load(dbias + i) + d);
+      Store(dxrow + i,
+            inv * ((d * Load(gain + i) - mean_dn) - nv * mean_dn_n));
+    }
+#endif
+    for (; i < dim_; ++i) {
+      dgain[i] += dyrow[i] * nrow[i];
+      dbias[i] += dyrow[i];
+      const float dn = dyrow[i] * gain[i];
+      dxrow[i] = inv * (dn - mean_dn - nrow[i] * mean_dn_n);
     }
   }
   return dx;

@@ -52,4 +52,9 @@ void SumRows(const Tensor& matrix, std::span<float> out);
 /// In-place row-wise softmax of a 2-D tensor.
 void SoftmaxRows(Tensor& logits);
 
+/// Row-wise softmax backward: dlogits_i = P_i ⊙ (dP_i − ⟨dP_i, P_i⟩), with
+/// the inner product summed in double, in column order.
+void SoftmaxRowsBackward(const Tensor& probs, const Tensor& dprobs,
+                         Tensor& dlogits);
+
 }  // namespace rna::tensor

@@ -10,6 +10,30 @@ namespace rna::tensor {
 
 namespace {
 
+// The largest of row[0..cols), by std::max's rule: a NaN row[0] wins and
+// any later NaN loses. Four lanes keep running maxima, so the result may
+// be -0.0 where the sequential pass keeps +0.0 or the reverse; SoftmaxRows
+// only feeds the peak to std::exp(x − peak), which gives the same bits for
+// either zero.
+float RowMax(const float* row, std::size_t cols) {
+  float peak = row[0];
+  std::size_t j = 1;
+#if RNA_SIMD_VECTOR_EXT
+  using common::simd::detail::kLanes;
+  using common::simd::detail::V4f;
+  if (j + kLanes <= cols) {
+    V4f lanes = {peak, peak, peak, peak};
+    for (; j + kLanes <= cols; j += kLanes) {
+      const V4f x = common::simd::detail::Load(row + j);
+      lanes = lanes < x ? x : lanes;
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) peak = std::max(peak, lanes[l]);
+  }
+#endif
+  for (; j < cols; ++j) peak = std::max(peak, row[j]);
+  return peak;
+}
+
 void CheckMatMulShapes(std::size_t am, std::size_t ak, std::size_t bk,
                        std::size_t bn, const Tensor& c) {
   RNA_CHECK_MSG(ak == bk, "inner dimensions must match");
@@ -102,15 +126,39 @@ void SoftmaxRows(Tensor& logits) {
   float* p = logits.Data();
   for (std::size_t i = 0; i < rows; ++i) {
     float* row = p + i * cols;
-    float peak = row[0];
-    for (std::size_t j = 1; j < cols; ++j) peak = std::max(peak, row[j]);
+    const float peak = RowMax(row, cols);
     double sum = 0.0;
     for (std::size_t j = 0; j < cols; ++j) {
       row[j] = std::exp(row[j] - peak);
       sum += row[j];
     }
-    const auto inv = static_cast<float>(1.0 / sum);
-    for (std::size_t j = 0; j < cols; ++j) row[j] *= inv;
+    common::simd::ScaleInto({row, cols}, static_cast<float>(1.0 / sum));
+  }
+}
+
+void SoftmaxRowsBackward(const Tensor& probs, const Tensor& dprobs,
+                         Tensor& dlogits) {
+  RNA_CHECK(probs.SameShape(dprobs) && probs.SameShape(dlogits));
+  const std::size_t rows = probs.Rows(), cols = probs.Cols();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* prow = probs.Data() + i * cols;
+    const float* dprow = dprobs.Data() + i * cols;
+    float* drow = dlogits.Data() + i * cols;
+    double inner = 0.0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      inner += static_cast<double>(dprow[j]) * prow[j];
+    }
+    const auto innerf = static_cast<float>(inner);
+    std::size_t j = 0;
+#if RNA_SIMD_VECTOR_EXT
+    using common::simd::detail::Load;
+    for (; j + common::simd::detail::kLanes <= cols;
+         j += common::simd::detail::kLanes) {
+      common::simd::detail::Store(drow + j,
+                                  Load(prow + j) * (Load(dprow + j) - innerf));
+    }
+#endif
+    for (; j < cols; ++j) drow[j] = prow[j] * (dprow[j] - innerf);
   }
 }
 

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -16,7 +18,9 @@
 #include "rna/nn/layer.hpp"
 #include "rna/nn/loss.hpp"
 #include "rna/nn/network.hpp"
+#include "rna/nn/norm.hpp"
 #include "rna/nn/optimizer.hpp"
+#include "rna/tensor/ops.hpp"
 #include "simd_widths.hpp"
 
 namespace rna::nn {
@@ -546,6 +550,245 @@ INSTANTIATE_TEST_SUITE_P(Models, ArenaEquivalence,
                            }
                            return name;
                          });
+
+// ---------------------------------------------------------------------------
+// Row kernels: SoftmaxRows, LayerNorm forward/backward and the softmax
+// backward row vectorize only their elementwise passes, so each must match
+// the scalar loops below bit for bit under every dispatch. The loops are the
+// kernels' earlier scalar bodies, kept as they were. Rows of every length
+// 1-130 cover each vector-width remainder; special rows hold ±Inf, a NaN
+// first or later, and a zero peak reached as both -0.0 and +0.0.
+
+Tensor RandomTensorLike(const Tensor& like, common::Rng& rng) {
+  Tensor t(like.Shape());
+  for (auto& v : t.Flat()) v = static_cast<float>(rng.Normal(0, 1));
+  return t;
+}
+
+namespace ref {
+
+void SoftmaxRows(Tensor& logits) {
+  const std::size_t rows = logits.Rows(), cols = logits.Cols();
+  float* p = logits.Data();
+  for (std::size_t i = 0; i < rows; ++i) {
+    float* row = p + i * cols;
+    float peak = row[0];
+    for (std::size_t j = 1; j < cols; ++j) peak = std::max(peak, row[j]);
+    double sum = 0.0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      row[j] = std::exp(row[j] - peak);
+      sum += row[j];
+    }
+    const auto inv = static_cast<float>(1.0 / sum);
+    for (std::size_t j = 0; j < cols; ++j) row[j] *= inv;
+  }
+}
+
+void SoftmaxRowsBackward(const Tensor& attn_, const Tensor& dp, Tensor& ds) {
+  const std::size_t steps = attn_.Cols();
+  for (std::size_t i = 0; i < attn_.Rows(); ++i) {
+    const float* prow = attn_.Data() + i * steps;
+    const float* dprow = dp.Data() + i * steps;
+    double inner = 0.0;
+    for (std::size_t j = 0; j < steps; ++j)
+      inner += static_cast<double>(dprow[j]) * prow[j];
+    float* dsrow = ds.Data() + i * steps;
+    for (std::size_t j = 0; j < steps; ++j)
+      dsrow[j] = prow[j] * (dprow[j] - static_cast<float>(inner));
+  }
+}
+
+struct LayerNorm {
+  LayerNorm(std::size_t dim, const Tensor& gain, const Tensor& bias)
+      : dim_(dim),
+        gain_(gain),
+        bias_(bias),
+        dgain_({dim}),
+        dbias_({dim}) {}
+
+  Tensor Forward(const Tensor& x) {
+    const std::size_t rows = x.Rows();
+    normalized_ = Tensor({rows, dim_});
+    inv_std_ = Tensor({rows});
+    Tensor y({rows, dim_});
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* row = x.Data() + r * dim_;
+      double mean = 0.0;
+      for (std::size_t i = 0; i < dim_; ++i) mean += row[i];
+      mean /= static_cast<double>(dim_);
+      double var = 0.0;
+      for (std::size_t i = 0; i < dim_; ++i) {
+        const double d = row[i] - mean;
+        var += d * d;
+      }
+      var /= static_cast<double>(dim_);
+      const auto inv = static_cast<float>(1.0 / std::sqrt(var + epsilon_));
+      inv_std_[r] = inv;
+      float* nrow = normalized_.Data() + r * dim_;
+      float* yrow = y.Data() + r * dim_;
+      for (std::size_t i = 0; i < dim_; ++i) {
+        nrow[i] = (row[i] - static_cast<float>(mean)) * inv;
+        yrow[i] = gain_[i] * nrow[i] + bias_[i];
+      }
+    }
+    return y;
+  }
+
+  Tensor Backward(const Tensor& dy) {
+    const std::size_t rows = normalized_.Rows();
+    Tensor dx({rows, dim_});
+    const auto n = static_cast<float>(dim_);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* dyrow = dy.Data() + r * dim_;
+      const float* nrow = normalized_.Data() + r * dim_;
+      float* dxrow = dx.Data() + r * dim_;
+      double sum_dn = 0.0, sum_dn_n = 0.0;
+      for (std::size_t i = 0; i < dim_; ++i) {
+        const float dn = dyrow[i] * gain_[i];
+        sum_dn += dn;
+        sum_dn_n += static_cast<double>(dn) * nrow[i];
+        dgain_[i] += dyrow[i] * nrow[i];
+        dbias_[i] += dyrow[i];
+      }
+      const auto mean_dn = static_cast<float>(sum_dn / n);
+      const auto mean_dn_n = static_cast<float>(sum_dn_n / n);
+      for (std::size_t i = 0; i < dim_; ++i) {
+        const float dn = dyrow[i] * gain_[i];
+        dxrow[i] = inv_std_[r] * (dn - mean_dn - nrow[i] * mean_dn_n);
+      }
+    }
+    return dx;
+  }
+
+  std::size_t dim_;
+  float epsilon_ = 1e-5f;
+  Tensor gain_, bias_, dgain_, dbias_;
+  Tensor normalized_, inv_std_;
+};
+
+}  // namespace ref
+
+// Seven rows of length `cols`: random, a zero peak as -0.0 then +0.0 among
+// negatives, +Inf, -Inf, NaN first, NaN later, and a spread wide enough for
+// exp to underflow to 0.
+Tensor SpecialRows(std::size_t cols, common::Rng& rng) {
+  constexpr std::size_t kRows = 7;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor t({kRows, cols});
+  for (auto& x : t.Flat()) x = static_cast<float>(rng.Normal(0, 3));
+  auto row = [&](std::size_t r) { return t.Data() + r * cols; };
+  for (std::size_t j = 0; j < cols; ++j) row(1)[j] = -std::abs(row(1)[j]);
+  row(1)[cols / 3] = -0.0f;
+  row(1)[cols - 1] = 0.0f;
+  row(2)[cols / 2] = inf;
+  row(3)[cols / 2] = -inf;
+  row(4)[0] = nan;
+  row(5)[cols - 1] = nan;
+  for (std::size_t j = 0; j < cols; ++j) row(6)[j] *= 40.0f;
+  return t;
+}
+
+// Same bits everywhere, except that any two NaNs match: where two NaNs of
+// different sign meet in one add or multiply, x86 returns the first
+// operand's, and the compiler may order a commutative operation's operands
+// either way (an ASan build ordered dgain's `+=` differently from a plain
+// one).
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_TRUE(got.SameShape(want)) << what;
+  std::size_t mismatches = 0;
+  const float* g = got.Data();
+  const float* w = want.Data();
+  for (std::size_t i = 0; i < got.Size(); ++i) {
+    if (std::isnan(g[i]) && std::isnan(w[i])) continue;
+    if (std::memcmp(g + i, w + i, sizeof(float)) != 0) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u) << what << " differs bitwise";
+}
+
+// The dispatches the row kernels run under: the scalar one and every
+// vector width (softmax's scale pass is the dispatching ScaleInto).
+std::vector<common::simd::Dispatch> RowKernelDispatches() {
+  std::vector<common::simd::Dispatch> out = {common::simd::Dispatch::kScalar};
+  for (const auto& width : VectorDispatches()) out.push_back(width.dispatch);
+  return out;
+}
+
+TEST(RowKernelWidths, BothWidthsUnderTest) {
+  if (!testutil::ReportWidthsUnderTest()) {
+    GTEST_SKIP() << "only the " << testutil::WidthsUnderTest()
+                 << "-byte matmul kernels ran on this host";
+  }
+}
+
+TEST(RowKernels, SoftmaxRowsMatchesScalarLoopBitwise) {
+  for (const auto dispatch : RowKernelDispatches()) {
+    ScopedDispatch guard(dispatch);
+    for (std::size_t cols = 1; cols <= 130; ++cols) {
+      SCOPED_TRACE(::testing::Message() << "cols " << cols);
+      common::Rng rng(cols);
+      const Tensor logits = SpecialRows(cols, rng);
+      Tensor want = logits;
+      ref::SoftmaxRows(want);
+      Tensor got = logits;
+      tensor::SoftmaxRows(got);
+      ExpectSameBits(got, want, "softmax");
+    }
+  }
+}
+
+TEST(RowKernels, SoftmaxRowsBackwardMatchesScalarLoopBitwise) {
+  for (const auto dispatch : RowKernelDispatches()) {
+    ScopedDispatch guard(dispatch);
+    for (std::size_t cols = 1; cols <= 130; ++cols) {
+      SCOPED_TRACE(::testing::Message() << "cols " << cols);
+      common::Rng rng(1000 + cols);
+      Tensor probs = SpecialRows(cols, rng);
+      ref::SoftmaxRows(probs);
+      // Special values in dP too: its rows are the probabilities' rows
+      // rotated by one.
+      const Tensor special = SpecialRows(cols, rng);
+      Tensor dprobs(special.Shape());
+      for (std::size_t r = 0; r < special.Rows(); ++r) {
+        const std::size_t from = (r + 1) % special.Rows();
+        std::copy(special.Data() + from * cols,
+                  special.Data() + (from + 1) * cols,
+                  dprobs.Data() + r * cols);
+      }
+      Tensor want(probs.Shape());
+      ref::SoftmaxRowsBackward(probs, dprobs, want);
+      Tensor got(probs.Shape());
+      tensor::SoftmaxRowsBackward(probs, dprobs, got);
+      ExpectSameBits(got, want, "softmax backward");
+    }
+  }
+}
+
+TEST(RowKernels, LayerNormMatchesScalarLoopsBitwise) {
+  for (const auto dispatch : RowKernelDispatches()) {
+    ScopedDispatch guard(dispatch);
+    for (std::size_t cols = 1; cols <= 130; ++cols) {
+      SCOPED_TRACE(::testing::Message() << "cols " << cols);
+      common::Rng rng(2000 + cols);
+      LayerNorm norm(cols);
+      for (Tensor* p : norm.Params()) {
+        for (auto& v : p->Flat()) v = static_cast<float>(rng.Normal(0, 1));
+      }
+      ref::LayerNorm want(cols, *norm.Params()[0], *norm.Params()[1]);
+      const Tensor x = SpecialRows(cols, rng);
+      ExpectSameBits(norm.Forward(x), want.Forward(x), "layernorm forward");
+      // Two backward passes, so dgain/dbias also accumulate.
+      for (int pass = 0; pass < 2; ++pass) {
+        Tensor dy = RandomTensorLike(x, rng);
+        dy.Data()[0] = -0.0f;
+        ExpectSameBits(norm.Backward(dy), want.Backward(dy),
+                       "layernorm backward");
+      }
+      ExpectSameBits(*norm.Grads()[0], want.dgain_, "dgain");
+      ExpectSameBits(*norm.Grads()[1], want.dbias_, "dbias");
+    }
+  }
+}
 
 }  // namespace
 }  // namespace rna::nn

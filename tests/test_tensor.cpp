@@ -424,5 +424,76 @@ TEST(MatMulBitwiseZeros, PerRowSkipInsideTile) {
   ExpectVariantsBitwise(a, b, c_init, 1.0f, 1.0f);
 }
 
+// ---------------------------------------------------------------------------
+// Dense path. The NN/TN kernels scan alpha·A first and, when no product is
+// ±0, run their tiles without the per-row skip. The grid crosses the
+// benchmark transformer's shapes (k and n of 6, 16, 24 and 32; m and k up
+// to 120) with every alpha and beta the models pass, on a zero-free A and
+// on A with one ±0 at its first, a middle and its last element (the scan's
+// first chunk, interior and scalar tail). B(kk, 0) = +Inf under each zero
+// makes a missed skip visible: 0·Inf is NaN. A subnormal A entry is a
+// product that is zero only under alpha < 1, so the scan must multiply as
+// the kernel does.
+
+TEST(MatMulDenseWidths, BothWidthsUnderTest) {
+  if (!testutil::ReportWidthsUnderTest()) {
+    GTEST_SKIP() << "only the " << testutil::WidthsUnderTest()
+                 << "-byte matmul kernels ran on this host";
+  }
+}
+
+class MatMulDense
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(MatMulDense, EveryWidthMatchesScalarBitwise) {
+  const auto [mi, ki, ni] = GetParam();
+  const auto m = static_cast<std::size_t>(mi);
+  const auto k = static_cast<std::size_t>(ki);
+  const auto n = static_cast<std::size_t>(ni);
+  common::Rng rng(11 + m * 131 + k * 17 + n * 3);
+  const Tensor a = RandomTensor(m, k, rng);
+  const Tensor b = RandomTensor(k, n, rng);
+  const Tensor c_init = RandomTensor(m, n, rng);
+  struct Input {
+    const char* name;
+    std::size_t at;  // flat index into A, or m·k for none
+    float value;
+  };
+  const std::size_t last = m * k - 1;
+  const Input inputs[] = {
+      {"zero-free", m * k, 0.0f},
+      {"+0 first", 0, 0.0f},
+      {"-0 first", 0, -0.0f},
+      {"+0 middle", last / 2, 0.0f},
+      {"-0 middle", last / 2, -0.0f},
+      {"+0 last", last, 0.0f},
+      {"-0 last", last, -0.0f},
+      {"subnormal middle", last / 2, std::numeric_limits<float>::denorm_min()},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    Tensor a_in = a;
+    Tensor b_in = b;
+    if (in.at < m * k) {
+      a_in.Flat()[in.at] = in.value;
+      b_in.At(in.at % k, 0) = std::numeric_limits<float>::infinity();
+    }
+    for (const float alpha : {1.0f, 0.25f, 0.1f}) {
+      for (const float beta : {0.0f, 0.5f, 1.0f}) {
+        SCOPED_TRACE(::testing::Message() << "alpha " << alpha << " beta "
+                                          << beta);
+        ExpectVariantsBitwise(a_in, b_in, c_init, alpha, beta);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, MatMulDense,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 5, 24,
+                                                              120),
+                                            ::testing::Values(6, 16, 24, 32,
+                                                              120),
+                                            ::testing::Values(6, 16, 24, 32)));
+
 }  // namespace
 }  // namespace rna::tensor
